@@ -12,7 +12,7 @@
 // Usage
 // -----
 //  * Declare lock members as ts_mutex / ts_shared_mutex (annotated
-//    capability types; plain std wrappers off-Clang).
+//    capability types; ts_shared_mutex is reader-sharded, see below).
 //  * Tag protected members with URMEM_GUARDED_BY(lock_) (or
 //    URMEM_PT_GUARDED_BY for pointees) and lock-discipline functions
 //    with URMEM_REQUIRES / URMEM_REQUIRES_SHARED / URMEM_EXCLUDES.
@@ -29,7 +29,10 @@
 // everywhere; only Clang checks it.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <shared_mutex>
 
@@ -83,6 +86,27 @@
 
 namespace urmem {
 
+/// Alignment that keeps independently written state off each other's
+/// cache lines (64 B on every target this builds for).
+inline constexpr std::size_t ts_cache_line = 64;
+
+/// Number of per-thread slots behind ts_shared_mutex's reader shards and
+/// any per-thread counter striping keyed by ts_thread_shard(). A
+/// constant, not a knob: more threads than slots only share a slot,
+/// which stays correct (the shards are still locks / atomic sums).
+inline constexpr std::size_t ts_shard_count = 8;
+
+/// The calling thread's slot in [0, ts_shard_count). Assigned
+/// round-robin on the thread's first call and fixed for its lifetime,
+/// so up to ts_shard_count threads that start together get distinct
+/// slots.
+inline std::size_t ts_thread_shard() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t slot =
+      next.fetch_add(1, std::memory_order_relaxed) % ts_shard_count;
+  return slot;
+}
+
 /// std::mutex with capability annotations. Take it through
 /// ts_lock_guard; lock()/unlock() stay public for the rare manual site.
 class URMEM_CAPABILITY("mutex") ts_mutex {
@@ -100,21 +124,42 @@ class URMEM_CAPABILITY("mutex") ts_mutex {
   std::mutex mutex_;
 };
 
-/// std::shared_mutex with capability annotations (exclusive = writer /
-/// epoch boundary, shared = readers / traffic).
+/// Reader-sharded shared mutex with capability annotations (exclusive =
+/// writer / epoch boundary, shared = readers / traffic). It holds
+/// ts_shard_count cache-line-aligned std::shared_mutex shards. A shared
+/// hold takes only the calling thread's shard (ts_thread_shard()), so
+/// readers on distinct slots never write a common cache line; an
+/// exclusive hold takes every shard in index order, so it excludes the
+/// readers of all of them and two writers cannot deadlock. Writers pay
+/// ts_shard_count lock operations, which suits a read-mostly gate with
+/// rare writers. As with std::shared_mutex, unlock_shared() must run on
+/// the thread that called lock_shared().
 class URMEM_CAPABILITY("shared_mutex") ts_shared_mutex {
  public:
   ts_shared_mutex() = default;
   ts_shared_mutex(const ts_shared_mutex&) = delete;
   ts_shared_mutex& operator=(const ts_shared_mutex&) = delete;
 
-  void lock() URMEM_ACQUIRE() { mutex_.lock(); }
-  void unlock() URMEM_RELEASE() { mutex_.unlock(); }
-  void lock_shared() URMEM_ACQUIRE_SHARED() { mutex_.lock_shared(); }
-  void unlock_shared() URMEM_RELEASE_SHARED() { mutex_.unlock_shared(); }
+  void lock() URMEM_ACQUIRE() {
+    for (shard& entry : shards_) entry.mutex.lock();
+  }
+  void unlock() URMEM_RELEASE() {
+    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+      it->mutex.unlock();
+    }
+  }
+  void lock_shared() URMEM_ACQUIRE_SHARED() {
+    shards_[ts_thread_shard()].mutex.lock_shared();
+  }
+  void unlock_shared() URMEM_RELEASE_SHARED() {
+    shards_[ts_thread_shard()].mutex.unlock_shared();
+  }
 
  private:
-  std::shared_mutex mutex_;
+  struct alignas(ts_cache_line) shard {
+    std::shared_mutex mutex;
+  };
+  std::array<shard, ts_shard_count> shards_;
 };
 
 /// Scoped exclusive hold of a ts_mutex (std::scoped_lock equivalent).

@@ -11,12 +11,14 @@
 // test oracles and for the BIST engine's expected-data comparison.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "urmem/common/bitops.hpp"
+#include "urmem/common/thread_safety.hpp"
 #include "urmem/memory/fault_map.hpp"
 #include "urmem/memory/fault_plane.hpp"
 
@@ -36,8 +38,9 @@ enum class fault_path : std::uint8_t {
 /// set_faults/set_fault_path/fill with traffic (the serving tier's
 /// exclusive epoch gate guarantees that). Distinct-row reads/writes
 /// touch disjoint words_ slots and are safe. The one internally
-/// synchronized member is the relaxed atomic access counter, so the
-/// energy tally stays exact under concurrent traffic.
+/// synchronized member is the access counter, kept in per-thread-slot
+/// relaxed atomic shards, so the energy tally stays exact under
+/// concurrent traffic without every access writing one shared line.
 class sram_array {
  public:
   /// Fault-free array of the given geometry.
@@ -46,7 +49,9 @@ class sram_array {
   /// Array with the given fault map (geometry taken from the map).
   explicit sram_array(fault_map faults);
 
-  [[nodiscard]] const array_geometry& geometry() const { return faults_.geometry(); }
+  [[nodiscard]] const array_geometry& geometry() const {
+    return faults_.geometry();
+  }
   [[nodiscard]] const fault_map& faults() const { return faults_; }
 
   /// The compiled fault planes currently in effect.
@@ -97,12 +102,17 @@ class sram_array {
 
   /// Total accesses performed so far (reads + writes), for the energy
   /// accounting in the hardware model examples. Batched row ops count
-  /// exactly one access per word touched. The counter is a relaxed
-  /// atomic so concurrent serving traffic (distinct rows from many
-  /// threads) tallies exactly without a data race; it imposes no
+  /// exactly one access per word touched. Each thread counts into its
+  /// own ts_thread_shard() slot of relaxed atomics, so concurrent
+  /// serving traffic (distinct rows from many threads) tallies exactly
+  /// without a data race or a shared cache line; the sum imposes no
   /// ordering on the data itself.
   [[nodiscard]] std::uint64_t access_count() const {
-    return accesses_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const access_shard& shard : accesses_) {
+      total += shard.count.load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
  private:
@@ -110,7 +120,14 @@ class sram_array {
   fault_plane plane_;
   std::vector<word_t> data_;
   fault_path path_ = default_fault_path();
-  mutable std::atomic<std::uint64_t> accesses_{0};
+  struct alignas(ts_cache_line) access_shard {
+    std::atomic<std::uint64_t> count{0};
+  };
+  void count_accesses(std::uint64_t words) const {
+    accesses_[ts_thread_shard()].count.fetch_add(words,
+                                                 std::memory_order_relaxed);
+  }
+  mutable std::array<access_shard, ts_shard_count> accesses_;
 };
 
 }  // namespace urmem

@@ -14,13 +14,25 @@
 // is bit-identical at any client count, while stores, readbacks,
 // quality queries and the background scrub genuinely overlap:
 //
-//  * An epoch gate (shared_mutex) orders traffic against maintenance.
-//    Requests and scrub passes hold it shared; step_epoch's mutation
-//    window — apply deferred retirements/degradation, age the timeline,
-//    install the new fault map — holds it exclusive. The logical->
-//    physical mapping and the fault map are therefore constant within
-//    an epoch, and any request's outcome is a pure function of
-//    (row, epoch).
+//  * An epoch gate orders traffic against maintenance. Requests and
+//    scrub passes hold it shared; step_epoch's mutation window — apply
+//    deferred retirements/degradation, age the timeline, install the
+//    new fault map — holds it exclusive, as do drain, stats_snapshot
+//    and set_fault_path. The logical->physical mapping and the fault
+//    map are therefore constant within an epoch, and any request's
+//    outcome is a pure function of (row, epoch). The gate is a
+//    ts_shared_mutex, which is reader-sharded: a request locks only its
+//    thread's shard, and the exclusive side locks every shard in index
+//    order. Sharding changes which cache lines readers touch, not what
+//    the gate excludes, so outcomes keep the same (row, epoch) purity.
+//
+//  * Quality answers are cached per epoch. Each tile computes
+//    protected_memory::residual_rows() at construction and again at the
+//    end of every boundary window, under the exclusive gate — the only
+//    place the fault map or the remap table changes (the concurrent
+//    scrub pass only records findings). quality_query adds that cached
+//    value, which is exactly what a rescan inside the same epoch would
+//    return, so the counter it feeds stays a pure function of the epoch.
 //
 //  * Stores always write the service's canonical word for the row (the
 //    authoritative copy a real serving tier refreshes from), and the
@@ -33,10 +45,14 @@
 //    rejected at construction: they latch write history and would make
 //    outcomes interleaving-dependent.
 //
-//  * Per-row stripe locks serialize touching the *same* row from two
-//    threads (a data race even when idempotent); distinct rows only
-//    share the relaxed atomic outcome counters, which are commutative
-//    integer sums.
+//  * Per-row stripe locks (one cache line each) serialize touching the
+//    *same* row from two threads (a data race even when idempotent).
+//    Outcome counters live in per-slot, cache-line-aligned shards keyed
+//    by the same thread slot as the gate (as do the arrays' access
+//    tallies); stats_snapshot sums them under the exclusive gate. Every
+//    counter is a relaxed atomic integer sum, so it totals the same
+//    whichever shard each increment landed in, and threads beyond the
+//    slot count only share a shard.
 //
 // Retirement is deliberately deferred maintenance: a scrub pass runs
 // concurrently with traffic and records findings, but spares are spent
@@ -46,6 +62,7 @@
 // mid-request.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -61,8 +78,8 @@
 namespace urmem {
 
 /// Exact integer outcomes of one tile's request traffic. Plain struct
-/// (snapshot form); the service accumulates the live values in relaxed
-/// atomics.
+/// (snapshot form); the service accumulates the live values in per-slot
+/// shards of relaxed atomics.
 struct tile_traffic_counters {
   std::uint64_t stores = 0;
   std::uint64_t readbacks = 0;
@@ -122,7 +139,9 @@ class memory_service {
     return epoch_steps_.load(std::memory_order_acquire);
   }
 
-  /// Request ops (thread-safe, shared on the epoch gate).
+  /// Request ops (thread-safe, shared on the epoch gate). quality_query
+  /// adds each tile's residual_rows() of the current epoch, cached at
+  /// the last boundary, so it costs O(tiles).
   void store(std::uint32_t row) URMEM_EXCLUDES(gate_);
   void readback(std::uint32_t row) URMEM_EXCLUDES(gate_);
   void quality_query() URMEM_EXCLUDES(gate_);
@@ -155,22 +174,29 @@ class memory_service {
  private:
   struct tile;  // protected_memory + lifecycle_manager + counters
 
+  /// One stripe lock per cache line, so threads on different stripes do
+  /// not contend on a shared line.
+  struct alignas(ts_cache_line) stripe {
+    ts_mutex mutex;
+  };
+
   // Stripe hooks handed to the scrubber. The stripe index is computed
   // at runtime and the matching unlock arrives through a different
   // callback, so the capability analysis cannot pair the acquire with
   // its release — opted out, with the pairing enforced by the scrubber's
   // RAII row guard and the TSan lane.
   void lock_row(std::uint32_t row) URMEM_NO_THREAD_SAFETY_ANALYSIS {
-    stripes_[row & stripe_mask_].lock();
+    stripes_[row & stripe_mask_].mutex.lock();
   }
   void unlock_row(std::uint32_t row) URMEM_NO_THREAD_SAFETY_ANALYSIS {
-    stripes_[row & stripe_mask_].unlock();
+    stripes_[row & stripe_mask_].mutex.unlock();
   }
 
-  /// Boundary maintenance: spend each live tile's deferred findings and
-  /// (when `advance` is set) age it one epoch. Tile lifecycle state
-  /// (`alive`, the manager's fault map) mutates here, so the caller
-  /// holds the gate exclusively.
+  /// Boundary maintenance: spend each live tile's deferred findings,
+  /// (when `advance` is set) age it one epoch, and refresh its cached
+  /// residual_rows(). Tile lifecycle state (`alive`, the manager's fault
+  /// map, the residual cache) mutates here, so the caller holds the
+  /// gate exclusively.
   void apply_boundary(bool advance) URMEM_REQUIRES(gate_);
 
   /// Runs the due scrub passes, recording findings for the next
@@ -184,7 +210,7 @@ class memory_service {
 
   ts_shared_mutex gate_;  ///< shared = traffic/scrub, exclusive = boundary
   static constexpr std::uint32_t stripe_mask_ = 63;
-  std::vector<ts_mutex> stripes_{stripe_mask_ + 1};
+  std::array<stripe, stripe_mask_ + 1> stripes_;
 
   std::atomic<std::uint64_t> epoch_steps_{0};
   std::atomic<std::uint64_t> snapshots_{0};

@@ -14,7 +14,10 @@
 // until the admin thread has stepped the service to epoch(i); the admin
 // thread steps boundary e as soon as all e*requests_per_epoch earlier
 // requests completed. Clients in the same epoch run fully concurrently —
-// the barrier is per-epoch, not per-request. Latency is measured around
+// the barrier is per-epoch, not per-request: a client reads the pacing
+// state with plain atomic loads and writes it (its completed count)
+// only when it leaves an epoch, so the load generator adds no shared
+// cache-line write per request. Latency is measured around
 // the service call only (gate and stripe contention included, pacing
 // waits excluded: the barrier is a determinism artifact, not service
 // time).
@@ -50,12 +53,17 @@ struct driver_config {
 struct drive_report {
   service_snapshot counters;   ///< deterministic at any client count
   latency_histogram latency;   ///< per-request service latency, ns
+  /// `latency` split by request kind (their merge is `latency`).
+  latency_histogram store_latency;
+  latency_histogram readback_latency;
+  latency_histogram quality_latency;
   std::uint64_t executed = 0;  ///< requests actually issued
   double wall_seconds = 0.0;
   double requests_per_second = 0.0;
 
   /// Counters (golden-stable) plus a latency/throughput section (wall
-  /// clock, never golden-diffed).
+  /// clock, never golden-diffed) that also carries the per-kind
+  /// histograms.
   [[nodiscard]] json_value to_json() const;
 };
 

@@ -1,5 +1,6 @@
 #include "urmem/serve/memory_service.hpp"
 
+#include <array>
 #include <optional>
 #include <string>
 #include <utility>
@@ -36,19 +37,32 @@ std::vector<memory_region> tile_regions(const scenario_spec& spec,
 }  // namespace
 
 /// One hot tile: the protected memory, its lifecycle manager, the
-/// deferred scrub findings of the in-flight epoch, and the relaxed
-/// atomic traffic counters (commutative sums, so any interleaving of
-/// fetch_adds totals the same).
+/// deferred scrub findings of the in-flight epoch, the epoch's cached
+/// residual_rows(), and the traffic counters in per-slot shards of
+/// relaxed atomics (commutative sums, so any interleaving of fetch_adds
+/// over any shards totals the same).
 ///
-/// `memory`, `manager` and `alive` follow the service's gate
-/// discipline — mutated only inside the exclusive boundary window
-/// (apply_boundary), read under at least the shared gate. That is
-/// expressed on the service's helpers (URMEM_REQUIRES(gate_)) rather
-/// than here, because a nested struct cannot name the owning service's
-/// gate in a member attribute. `findings` is the one member written
-/// under only the *shared* gate (the concurrent scrub pass appends),
-/// so it carries its own capability.
+/// `memory`, `manager`, `alive` and `residual_rows` follow the service's
+/// gate discipline — mutated only inside the exclusive boundary window
+/// (apply_boundary) or the constructor, read under at least the shared
+/// gate. That is expressed on the service's helpers (URMEM_REQUIRES(gate_))
+/// rather than here, because a nested struct cannot name the owning
+/// service's gate in a member attribute. `findings` is the one member
+/// written under only the *shared* gate (the concurrent scrub pass
+/// appends), so it carries its own capability.
 struct memory_service::tile {
+  /// One slot's counters, alone on its cache line.
+  struct alignas(ts_cache_line) traffic_shard {
+    std::atomic<std::uint64_t> stores{0};
+    std::atomic<std::uint64_t> readbacks{0};
+    std::atomic<std::uint64_t> clean_reads{0};
+    std::atomic<std::uint64_t> corrected_reads{0};
+    std::atomic<std::uint64_t> uncorrectable_reads{0};
+    std::atomic<std::uint64_t> word_errors{0};
+    std::atomic<std::uint64_t> quality_queries{0};
+    std::atomic<std::uint64_t> degraded_rows_seen{0};
+  };
+
   std::string name;
   protected_memory memory;
   std::optional<lifecycle_manager> manager;  // built after the fault map
@@ -59,15 +73,10 @@ struct memory_service::tile {
   std::vector<scrub_finding> findings URMEM_GUARDED_BY(findings_mutex);
   scrub_hooks hooks;
   bool alive = true;  ///< false after fail-stop: no more aging or scrubbing
+  /// memory.residual_rows() of the current epoch.
+  std::uint64_t residual_rows = 0;
 
-  std::atomic<std::uint64_t> stores{0};
-  std::atomic<std::uint64_t> readbacks{0};
-  std::atomic<std::uint64_t> clean_reads{0};
-  std::atomic<std::uint64_t> corrected_reads{0};
-  std::atomic<std::uint64_t> uncorrectable_reads{0};
-  std::atomic<std::uint64_t> word_errors{0};
-  std::atomic<std::uint64_t> quality_queries{0};
-  std::atomic<std::uint64_t> degraded_rows_seen{0};
+  std::array<traffic_shard, ts_shard_count> shards;
 
   tile(std::string name_, std::uint32_t rows,
        std::unique_ptr<protection_scheme> scheme,
@@ -75,16 +84,25 @@ struct memory_service::tile {
       : name(std::move(name_)),
         memory(rows, std::move(scheme), std::move(regions)) {}
 
+  /// The calling thread's counter shard.
+  [[nodiscard]] traffic_shard& local() { return shards[ts_thread_shard()]; }
+
   [[nodiscard]] tile_traffic_counters traffic() const {
     tile_traffic_counters t;
-    t.stores = stores.load(std::memory_order_relaxed);
-    t.readbacks = readbacks.load(std::memory_order_relaxed);
-    t.clean_reads = clean_reads.load(std::memory_order_relaxed);
-    t.corrected_reads = corrected_reads.load(std::memory_order_relaxed);
-    t.uncorrectable_reads = uncorrectable_reads.load(std::memory_order_relaxed);
-    t.word_errors = word_errors.load(std::memory_order_relaxed);
-    t.quality_queries = quality_queries.load(std::memory_order_relaxed);
-    t.degraded_rows_seen = degraded_rows_seen.load(std::memory_order_relaxed);
+    for (const traffic_shard& shard : shards) {
+      t.stores += shard.stores.load(std::memory_order_relaxed);
+      t.readbacks += shard.readbacks.load(std::memory_order_relaxed);
+      t.clean_reads += shard.clean_reads.load(std::memory_order_relaxed);
+      t.corrected_reads +=
+          shard.corrected_reads.load(std::memory_order_relaxed);
+      t.uncorrectable_reads +=
+          shard.uncorrectable_reads.load(std::memory_order_relaxed);
+      t.word_errors += shard.word_errors.load(std::memory_order_relaxed);
+      t.quality_queries +=
+          shard.quality_queries.load(std::memory_order_relaxed);
+      t.degraded_rows_seen +=
+          shard.degraded_rows_seen.load(std::memory_order_relaxed);
+    }
     return t;
   }
 };
@@ -147,6 +165,7 @@ memory_service::memory_service(const scenario_spec& spec) {
     };
 
     entry->memory.write_block(0, words_);
+    entry->residual_rows = entry->memory.residual_rows();
     tiles_.push_back(std::move(entry));
   }
 }
@@ -155,32 +174,33 @@ memory_service::~memory_service() = default;
 
 void memory_service::store(std::uint32_t row) {
   ts_shared_lock gate(gate_);
-  ts_lock_guard stripe(stripes_[row & stripe_mask_]);
+  ts_lock_guard stripe(stripes_[row & stripe_mask_].mutex);
   for (const auto& entry : tiles_) {
     entry->memory.write(row, words_[row]);
-    entry->stores.fetch_add(1, std::memory_order_relaxed);
+    entry->local().stores.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void memory_service::readback(std::uint32_t row) {
   ts_shared_lock gate(gate_);
-  ts_lock_guard stripe(stripes_[row & stripe_mask_]);
+  ts_lock_guard stripe(stripes_[row & stripe_mask_].mutex);
   for (const auto& entry : tiles_) {
     const read_result result = entry->memory.read(row);
-    entry->readbacks.fetch_add(1, std::memory_order_relaxed);
+    tile::traffic_shard& counters = entry->local();
+    counters.readbacks.fetch_add(1, std::memory_order_relaxed);
     switch (result.status) {
       case ecc_status::clean:
-        entry->clean_reads.fetch_add(1, std::memory_order_relaxed);
+        counters.clean_reads.fetch_add(1, std::memory_order_relaxed);
         break;
       case ecc_status::corrected:
-        entry->corrected_reads.fetch_add(1, std::memory_order_relaxed);
+        counters.corrected_reads.fetch_add(1, std::memory_order_relaxed);
         break;
       case ecc_status::detected_uncorrectable:
-        entry->uncorrectable_reads.fetch_add(1, std::memory_order_relaxed);
+        counters.uncorrectable_reads.fetch_add(1, std::memory_order_relaxed);
         break;
     }
     if (result.data != words_[row]) {
-      entry->word_errors.fetch_add(1, std::memory_order_relaxed);
+      counters.word_errors.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -188,9 +208,10 @@ void memory_service::readback(std::uint32_t row) {
 void memory_service::quality_query() {
   ts_shared_lock gate(gate_);
   for (const auto& entry : tiles_) {
-    entry->quality_queries.fetch_add(1, std::memory_order_relaxed);
-    entry->degraded_rows_seen.fetch_add(entry->memory.residual_rows(),
-                                        std::memory_order_relaxed);
+    tile::traffic_shard& counters = entry->local();
+    counters.quality_queries.fetch_add(1, std::memory_order_relaxed);
+    counters.degraded_rows_seen.fetch_add(entry->residual_rows,
+                                          std::memory_order_relaxed);
   }
 }
 
@@ -207,6 +228,11 @@ void memory_service::apply_boundary(bool advance) {
     if (advance && entry->alive && !entry->manager->advance_epoch()) {
       entry->alive = false;
     }
+    // Findings retire rows and aging installs a new fault map; both
+    // happen only here, so this is the one refresh point of the epoch.
+    // A tile already fail-stopped on entry changes no more and keeps
+    // its last value.
+    entry->residual_rows = entry->memory.residual_rows();
   }
 }
 

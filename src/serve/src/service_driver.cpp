@@ -1,6 +1,7 @@
 #include "urmem/serve/service_driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -13,17 +14,25 @@ namespace urmem {
 
 namespace {
 
-/// Shared pacing state: completed-request count (atomic, bumped outside
-/// any lock) and the admin thread's published epoch. The cv is only
-/// signalled at epoch-boundary crossings, so the hot path is one
-/// fetch_add per request.
+/// Shared pacing state: the completed-request count, the admin
+/// thread's published epoch and the deadline stop flag. All three are
+/// atomics so a client's per-request checks are plain loads of
+/// read-mostly lines; each is *changed* under `mutex` (or, for
+/// `completed`, followed by taking it) before a notify, so a waiter
+/// that checked its predicate under the mutex cannot miss the wakeup.
+/// Clients add to `completed` once per epoch they leave, not per
+/// request.
 struct pacing {
   ts_mutex mutex;
   ts_condition_variable cv;
   std::atomic<std::uint64_t> completed{0};
-  std::uint64_t epoch_done URMEM_GUARDED_BY(mutex) = 0;
-  bool stop URMEM_GUARDED_BY(mutex) = false;  ///< deadline reached
+  std::atomic<std::uint64_t> epoch_done{0};
+  std::atomic<bool> stop{false};  ///< deadline reached
 };
+
+/// Request kinds, indexing each client's per-kind latency histograms.
+enum request_kind : std::size_t { store_op, readback_op, quality_op, op_kinds };
+using kind_histograms = std::array<latency_histogram, op_kinds>;
 
 }  // namespace
 
@@ -54,56 +63,74 @@ drive_report drive(memory_service& service, const driver_config& config) {
                   std::chrono::duration<double>(
                       timed ? config.duration_seconds : 0.0));
 
-  std::vector<latency_histogram> histograms(clients);
+  std::vector<kind_histograms> histograms(clients);
 
   auto client_loop = [&](std::uint32_t client) {
-    latency_histogram& histogram = histograms[client];
+    kind_histograms& by_kind = histograms[client];
+    // Requests this client finished but has not added to pace.completed
+    // yet. It publishes them before it waits for a later epoch and when
+    // it stops: the admin needs epoch e's requests only once every
+    // client has moved past epoch e, and a client cannot move past it
+    // without publishing, so the boundary still fires exactly when the
+    // first e*per_epoch requests are done.
+    std::uint64_t unpublished = 0;
+    const auto publish = [&] {
+      const std::uint64_t done =
+          pace.completed.fetch_add(unpublished, std::memory_order_acq_rel) +
+          unpublished;
+      unpublished = 0;
+      if (done == total || (per_epoch > 0 && done % per_epoch == 0)) {
+        {
+          ts_lock_guard lock(pace.mutex);  // no lost wakeup; see pacing
+        }
+        pace.cv.notify_all();
+      }
+    };
+
     for (std::uint64_t index = client; index < total; index += clients) {
-      if (per_epoch > 0) {
-        // Wait for the service to reach this request's epoch. Manual
-        // predicate loop so the guarded reads sit in this function,
-        // where the analysis can see the held capability.
-        const std::uint64_t target = index / per_epoch;
+      const std::uint64_t target = per_epoch > 0 ? index / per_epoch : 0;
+      if (pace.epoch_done.load(std::memory_order_acquire) < target) {
+        publish();
         ts_lock_guard lock(pace.mutex);
-        while (!pace.stop && pace.epoch_done < target) {
+        while (!pace.stop.load(std::memory_order_acquire) &&
+               pace.epoch_done.load(std::memory_order_acquire) < target) {
           pace.cv.wait(pace.mutex);
         }
-        if (pace.stop) return;
-      } else if (timed) {
-        ts_lock_guard lock(pace.mutex);
-        if (pace.stop) return;
       }
+      if (pace.stop.load(std::memory_order_acquire)) break;
 
       rng gen = make_stream_rng(traffic_seed, index);
       const std::uint64_t draw = gen.uniform_below(100);
       const auto row = static_cast<std::uint32_t>(gen.uniform_below(rows));
 
+      request_kind kind = store_op;
       const auto issued = std::chrono::steady_clock::now();
       if (draw < config.store_percent) {
         service.store(row);
       } else if (draw < config.store_percent + config.quality_percent) {
         service.quality_query();
+        kind = quality_op;
       } else {
         service.readback(row);
+        kind = readback_op;
       }
       const auto finished = std::chrono::steady_clock::now();
-      histogram.record(static_cast<std::uint64_t>(
+      by_kind[kind].record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(finished -
                                                                issued)
               .count()));
+      ++unpublished;
 
-      const std::uint64_t done =
-          pace.completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-      const bool deadline_hit = timed && finished >= deadline;
-      if (deadline_hit || done == total ||
-          (per_epoch > 0 && done % per_epoch == 0)) {
+      if (timed && finished >= deadline) {
         {
           ts_lock_guard lock(pace.mutex);
-          if (deadline_hit) pace.stop = true;
+          pace.stop.store(true, std::memory_order_release);
         }
         pace.cv.notify_all();
+        break;
       }
     }
+    publish();
   };
 
   // Epoch boundaries strictly inside the budget: boundary e (stepping
@@ -115,17 +142,17 @@ drive_report drive(memory_service& service, const driver_config& config) {
     for (std::uint64_t epoch = 1; epoch <= boundaries; ++epoch) {
       {
         ts_lock_guard lock(pace.mutex);
-        while (!pace.stop &&
+        while (!pace.stop.load(std::memory_order_acquire) &&
                pace.completed.load(std::memory_order_acquire) <
                    epoch * per_epoch) {
           pace.cv.wait(pace.mutex);
         }
-        if (pace.stop) return;
+        if (pace.stop.load(std::memory_order_acquire)) return;
       }
       service.step_epoch();
       {
         ts_lock_guard lock(pace.mutex);
-        pace.epoch_done = epoch;
+        pace.epoch_done.store(epoch, std::memory_order_release);
       }
       pace.cv.notify_all();
     }
@@ -143,9 +170,14 @@ drive_report drive(memory_service& service, const driver_config& config) {
 
   drive_report report;
   report.counters = service.stats_snapshot();
-  for (const latency_histogram& histogram : histograms) {
-    report.latency.merge(histogram);
+  for (const kind_histograms& by_kind : histograms) {
+    report.store_latency.merge(by_kind[store_op]);
+    report.readback_latency.merge(by_kind[readback_op]);
+    report.quality_latency.merge(by_kind[quality_op]);
   }
+  report.latency.merge(report.store_latency);
+  report.latency.merge(report.readback_latency);
+  report.latency.merge(report.quality_latency);
   report.executed = pace.completed.load(std::memory_order_acquire);
   const auto end = std::chrono::steady_clock::now();
   report.wall_seconds =
@@ -171,6 +203,17 @@ json_value drive_report::to_json() const {
   latency_json.set("p999_ns", latency.quantile(0.999));
   latency_json.set("min_ns", latency.min());
   latency_json.set("max_ns", latency.max());
+  const auto split = [&](const char* key, const latency_histogram& kind) {
+    json_value kind_json = json_value::make_object();
+    kind_json.set("samples", kind.count());
+    kind_json.set("p50_ns", kind.quantile(0.5));
+    kind_json.set("p99_ns", kind.quantile(0.99));
+    kind_json.set("p999_ns", kind.quantile(0.999));
+    latency_json.set(key, std::move(kind_json));
+  };
+  split("store", store_latency);
+  split("readback", readback_latency);
+  split("quality_query", quality_latency);
   doc.set("latency", std::move(latency_json));
   return doc;
 }

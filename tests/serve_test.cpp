@@ -6,9 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "urmem/common/rng.hpp"
+#include "urmem/lifecycle/fault_timeline.hpp"
+#include "urmem/lifecycle/lifecycle_manager.hpp"
+#include "urmem/memory/fault_sampler.hpp"
 #include "urmem/scenario/scenario_spec.hpp"
+#include "urmem/scenario/workload_registry.hpp"
 #include "urmem/serve/memory_service.hpp"
 #include "urmem/serve/service_driver.hpp"
 
@@ -89,22 +98,129 @@ TEST(MemoryService, EpochSteppingAgesTilesAndDefersRetirement) {
   }
 }
 
-TEST(MemoryService, QualityQueryIsAPureFunctionOfTheEpoch) {
-  memory_service service(serve_spec_text());
-  service.quality_query();
-  service.quality_query();
-  const service_snapshot snap = service.stats_snapshot();
-  for (const auto& tile : snap.tiles) {
-    ASSERT_EQ(tile.traffic.quality_queries, 2u);
-    // Same epoch, same fault map: both queries saw the same residual.
-    EXPECT_EQ(tile.traffic.degraded_rows_seen % 2, 0u);
+// Standalone replay of serve tile `index`: the same recipe, region
+// table, `serve.tile.<index>` fault stream, canonical data and boundary
+// order as memory_service, driven single-threaded without traffic. Its
+// residual_rows() at each epoch is the oracle for quality_query.
+class tile_replay {
+ public:
+  tile_replay(const scenario_spec& spec, std::size_t index,
+              const memory_service& service) {
+    const std::vector<scheme_recipe> recipes = resolve_schemes(spec);
+    const scheme_recipe& recipe = recipes.at(index);
+    const std::uint32_t rows = spec.geometry.rows_per_tile;
+    std::vector<memory_region> regions = recipe.regions;
+    if (regions.empty()) {
+      regions.push_back(memory_region{0, rows - 1, recipe.spare_rows, 0});
+    }
+    regions[spec.retire.reliable_region].spare_rows += spec.retire.spare_rows;
+    memory_.emplace(rows, recipe.factory(rows), std::move(regions));
+
+    rng gen = named_stream_rng(spec.seeds.root,
+                               "serve.tile." + std::to_string(index));
+    fault_map initial = sample_fault_map_exact(memory_->storage_geometry(),
+                                               spec.serve.initial_faults, gen,
+                                               spec.fault.polarity);
+    memory_->set_fault_map(initial);
+    timeline_config config;
+    config.arrivals_per_epoch = spec.serve.arrivals_per_epoch;
+    config.intermittent_cells = spec.serve.intermittent_cells;
+    config.polarity = spec.fault.polarity;
+    config.seed = gen();
+    manager_.emplace(*memory_, fault_timeline(std::move(initial), config),
+                     spec.scrub.config(), spec.retire.config());
+
+    std::vector<word_t> words(rows);
+    for (std::uint32_t row = 0; row < rows; ++row) {
+      words[row] = service.canonical_word(row);
+    }
+    manager_->set_data_source(
+        [words](std::uint32_t row) { return words[row]; });
+    hooks_.rewrite_word = [words](std::uint32_t row, word_t) {
+      return words[row];
+    };
+    memory_->write_block(0, words);
   }
+  tile_replay(const tile_replay&) = delete;  // the manager borrows memory_
+  tile_replay& operator=(const tile_replay&) = delete;
+
+  [[nodiscard]] std::uint64_t residual_rows() const {
+    return memory_->residual_rows();
+  }
+
+  /// memory_service::step_epoch for one tile: spend the last pass's
+  /// findings, age one epoch, then run the due scrub pass.
+  void step_epoch() {
+    if (!alive_) return;
+    alive_ = manager_->apply_findings(findings_);
+    findings_.clear();
+    alive_ = alive_ && manager_->advance_epoch();
+    if (alive_ && manager_->scrub_due()) {
+      manager_->run_scrub_pass(findings_, &hooks_);
+    }
+  }
+
+ private:
+  std::optional<protected_memory> memory_;
+  std::optional<lifecycle_manager> manager_;
+  std::vector<scrub_finding> findings_;
+  scrub_hooks hooks_;
+  bool alive_ = true;
+};
+
+TEST(MemoryService, QualityQueryIsAPureFunctionOfTheEpoch) {
+  // One query per epoch across fault arrivals and remap retirements:
+  // each epoch's degraded_rows_seen delta must equal the standalone
+  // replay's residual_rows() at that epoch, so a quality answer that is
+  // not refreshed at the boundary shows up as a mismatch.
+  scenario_spec spec = serve_spec_text();
+  // Manufacture repair spends the 2-row pool on the initial faults; a
+  // deeper pool leaves spares for runtime remap retirements.
+  spec.retire.spare_rows = 40;
+  memory_service service(spec);
+  std::vector<std::unique_ptr<tile_replay>> replays;
+  for (std::size_t index = 0; index < service.tile_count(); ++index) {
+    replays.push_back(std::make_unique<tile_replay>(spec, index, service));
+  }
+
+  constexpr int epochs = 6;
+  std::vector<std::uint64_t> seen(service.tile_count(), 0);
+  std::vector<std::set<std::uint64_t>> answers(service.tile_count());
+  service_snapshot snap;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    if (epoch > 0) {
+      service.step_epoch();
+      for (const auto& replay : replays) replay->step_epoch();
+    }
+    service.quality_query();
+    snap = service.stats_snapshot();
+    for (std::size_t index = 0; index < snap.tiles.size(); ++index) {
+      const std::uint64_t total = snap.tiles[index].traffic.degraded_rows_seen;
+      const std::uint64_t expected = replays[index]->residual_rows();
+      EXPECT_EQ(total - seen[index], expected)
+          << "tile " << index << " epoch " << epoch;
+      answers[index].insert(expected);
+      seen[index] = total;
+    }
+  }
+
+  // The queries must have covered what a stale cache would miss:
+  // answers that change between epochs, and remap retirements applied
+  // at a boundary before the last query.
+  std::uint64_t retirements = 0;
+  for (std::size_t index = 0; index < snap.tiles.size(); ++index) {
+    const auto& tile = snap.tiles[index];
+    EXPECT_EQ(tile.life.injected_faults, (epochs - 1) * 6u);
+    EXPECT_GT(answers[index].size(), 1u) << "tile " << index;
+    retirements += tile.life.ce_retirements + tile.life.ue_retirements;
+  }
+  EXPECT_GT(retirements, 0u);
 }
 
 TEST(ServiceDriver, CountersAreClientCountInvariant) {
   const scenario_spec spec = serve_spec_text();
   std::string baseline;
-  for (const std::uint32_t clients : {1u, 2u, 5u}) {
+  for (const std::uint32_t clients : {1u, 2u, 5u, 12u}) {
     memory_service service(spec);
     driver_config config = driver_config_from(spec);
     config.clients = clients;
@@ -118,6 +234,11 @@ TEST(ServiceDriver, CountersAreClientCountInvariant) {
     EXPECT_EQ(report.executed, spec.serve.requests);
     EXPECT_EQ(report.latency.count(), report.executed);
     EXPECT_EQ(report.counters.requests, report.executed);
+    // The per-kind histograms split the mixed one by request kind.
+    EXPECT_EQ(report.store_latency.count(), report.counters.stores);
+    EXPECT_EQ(report.readback_latency.count(), report.counters.readbacks);
+    EXPECT_EQ(report.quality_latency.count(),
+              report.counters.quality_queries);
     // Boundaries strictly inside the budget: 3000/600 - 1 = 4 steps.
     EXPECT_EQ(report.counters.epoch_steps, 4u);
     EXPECT_GT(report.requests_per_second, 0.0);

@@ -6,7 +6,8 @@
 // ages the tiles live: background scrub passes overlap request traffic
 // and retirements land at epoch boundaries. Prints per-tile outcome
 // counters (bit-identical at any --clients value) plus throughput and
-// p50/p99/p99.9 service latency (wall clock — never golden-diffed).
+// p50/p99/p99.9 service latency, overall and per request kind (wall
+// clock — never golden-diffed).
 //
 // Usage:
 //   urmem-serve [spec.json] [key=value ...] [flags]
@@ -178,6 +179,14 @@ int main(int argc, char** argv) {
               << report.latency.quantile(0.99) << " ns, p99.9 "
               << report.latency.quantile(0.999) << " ns, max "
               << report.latency.max() << " ns\n";
+    const auto split = [](const char* kind, const latency_histogram& h) {
+      std::cout << "  " << kind << " p50 " << h.quantile(0.5) << " ns, p99 "
+                << h.quantile(0.99) << " ns, p99.9 " << h.quantile(0.999)
+                << " ns (" << h.count() << " samples)\n";
+    };
+    split("store   ", report.store_latency);
+    split("readback", report.readback_latency);
+    split("quality ", report.quality_latency);
 
     const std::string out_path = parsed->value_or("--out");
     const std::string counters_path = parsed->value_or("--counters-out");
