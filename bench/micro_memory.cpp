@@ -1,5 +1,5 @@
-// Micro-benchmarks of the memory substrate hot loop: the compiled
-// fault-plane fast path (per-word and batched row ops) measured against
+// Micro-benchmarks of the memory substrate hot loop: the fault map's
+// plane-mask fast path (per-word and batched row ops) measured against
 // the per-cell reference oracle on a dense fault map, plus fault
 // sampling and the Eq. 6 MSE kernel Fig. 5's Monte Carlo leans on.
 //
@@ -79,7 +79,7 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   const bench::arg_parser args(argc, argv);
-  bench::banner("micro_memory — fault-plane fast path vs per-cell oracle",
+  bench::banner("micro_memory — fault-map fast path vs per-cell oracle",
                 "hot loop of the Fig. 5 / Fig. 7 Monte-Carlo campaigns");
 
   const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));

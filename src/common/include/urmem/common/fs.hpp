@@ -4,9 +4,11 @@
 // instant (and may share one directory over a network filesystem), so
 // the one write primitive offered here is atomic publication:
 // write_file_atomic streams the content to a process-unique sibling
-// temp file and renames it over the target, so readers only ever see
-// either the previous complete file or the new complete file — never a
-// truncated one. Parent directories are created on demand (shared with
+// temp file, fsyncs it and renames it over the target, so readers only
+// ever see either the previous complete file or the new complete file —
+// never a truncated one. Syncing the directory after the rename makes
+// the publication survive power loss, not just a killed process.
+// Parent directories are created on demand (shared with
 // `urmem-run --out`, which historically failed bare when FILE's
 // directory was missing).
 #pragma once
@@ -22,11 +24,12 @@ namespace urmem {
 /// component; throws std::runtime_error naming the directory otherwise.
 void ensure_parent_dirs(const std::string& path);
 
-/// Atomically replaces `path` with `content`: writes a process-unique
-/// sibling temp file, then renames it over `path` (POSIX rename is
-/// atomic within a filesystem). Parent directories are created on
-/// demand. Throws std::runtime_error on I/O failure; the temp file is
-/// removed on every failure path.
+/// Atomically and durably replaces `path` with `content`: writes a
+/// process-unique sibling temp file, fsyncs it, renames it over `path`
+/// (POSIX rename is atomic within a filesystem) and fsyncs the parent
+/// directory. Parent directories are created on demand. Throws
+/// std::runtime_error on I/O failure; the temp file is removed on every
+/// failure path.
 void write_file_atomic(const std::string& path, std::string_view content);
 
 /// Whole-file read; nullopt when the file is missing or unreadable.

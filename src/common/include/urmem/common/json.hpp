@@ -63,8 +63,14 @@ class json_value {
   [[nodiscard]] static json_value make_array() { json_value v; v.kind_ = kind::array; return v; }
   [[nodiscard]] static json_value make_object() { json_value v; v.kind_ = kind::object; return v; }
 
+  /// Deepest array/object nesting parse() accepts. The parser is
+  /// recursive descent, so this bound keeps hostile input (a file of
+  /// nothing but '[') from exhausting the stack.
+  static constexpr std::size_t max_depth = 256;
+
   /// Parses one JSON document (surrounding whitespace allowed; trailing
-  /// garbage rejected). Throws json_parse_error.
+  /// garbage rejected). Throws json_parse_error, including when arrays
+  /// and objects nest deeper than max_depth.
   [[nodiscard]] static json_value parse(std::string_view text);
 
   [[nodiscard]] kind type() const noexcept { return kind_; }

@@ -80,8 +80,17 @@ class parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == json_value::max_depth) {
+          fail("nesting deeper than " + std::to_string(json_value::max_depth) +
+               " levels");
+        }
+        ++depth_;
+        json_value value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return json_value(parse_string());
       case 't':
         if (consume_literal("true")) return json_value(true);
@@ -238,6 +247,7 @@ class parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects enclosing pos_
 };
 
 void dump_string(std::string& out, const std::string& text) {

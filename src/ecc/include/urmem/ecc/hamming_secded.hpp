@@ -113,7 +113,7 @@ class hamming_secded {
   }
 
   /// Extracts the data bits of a codeword without any checking, via the
-  /// precompiled compaction runs (gather-free).
+  /// compaction runs built at construction (gather-free).
   [[nodiscard]] word_t extract_data(word_t codeword) const {
     word_t data = 0;
     for (unsigned i = 0; i < extract_run_count_; ++i) {

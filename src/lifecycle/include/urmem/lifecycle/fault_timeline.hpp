@@ -10,7 +10,7 @@
 // voltage, the reason a read retry can succeed where the first access
 // failed). The installed fault_map for an epoch is always rebuilt from
 // the persistent population plus the epoch's active intermittents, so
-// the compiled fault_plane path and the reference path see the same
+// the fault_map mask path and the per-cell reference path see the same
 // injected reality.
 //
 // Everything is counter-based or stream-split off one seed: the same

@@ -53,9 +53,9 @@ fault_timeline::fault_timeline(fault_map initial, timeline_config config)
 
 bool fault_timeline::cell_occupied(std::uint32_t row, std::uint32_t col) const {
   const word_t bit = word_t{1} << col;
-  return ((persistent_map_.planes_of_row(row).fault_cols |
-           intermittent_map_.planes_of_row(row).fault_cols) &
-          bit) != 0;
+  const word_t occupied =
+      persistent_map_.fault_cols(row) | intermittent_map_.fault_cols(row);
+  return (occupied & bit) != 0;
 }
 
 bool fault_timeline::intermittent_active(std::uint64_t cell_index,

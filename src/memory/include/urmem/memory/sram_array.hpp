@@ -2,11 +2,11 @@
 //
 // The array stores one word per row and applies its fault map on every
 // read — the software equivalent of reading through failing bit-cells.
-// Reads and writes go through a compiled fault_plane (dense per-row
-// bit-plane masks, see fault_plane.hpp) which is recompiled whenever
-// set_faults installs a new map; the per-cell reference walk is kept as
-// a switchable debug oracle (fault_path::reference, or process-wide via
-// URMEM_FAULT_PATH=reference) and is bit-identical to the fast path.
+// Reads and writes go straight through the fault_map's dense per-row
+// bit-plane masks (see fault_map.hpp); set_faults just swaps in a new
+// map. The per-cell reference walk is kept as a switchable debug oracle
+// (fault_path::reference, or process-wide via URMEM_FAULT_PATH=reference)
+// and is bit-identical to the fast path.
 // A fault-free back door (read_ideal / raw word access) is provided for
 // test oracles and for the BIST engine's expected-data comparison.
 #pragma once
@@ -20,13 +20,12 @@
 #include "urmem/common/bitops.hpp"
 #include "urmem/common/thread_safety.hpp"
 #include "urmem/memory/fault_map.hpp"
-#include "urmem/memory/fault_plane.hpp"
 
 namespace urmem {
 
 /// Which fault machinery serves reads and writes.
 enum class fault_path : std::uint8_t {
-  compiled,   ///< dense fault_plane masks (the fast path, default)
+  compiled,   ///< dense fault_map plane masks (the fast path, default)
   reference,  ///< per-cell fault walk (debug oracle, bit-identical)
 };
 
@@ -54,12 +53,8 @@ class sram_array {
   }
   [[nodiscard]] const fault_map& faults() const { return faults_; }
 
-  /// The compiled fault planes currently in effect.
-  [[nodiscard]] const fault_plane& plane() const { return plane_; }
-
   /// Replaces the fault map (e.g. after re-running BIST at a new supply
-  /// voltage) and recompiles the fault plane. Geometry must match;
-  /// stored data is preserved.
+  /// voltage). Geometry must match; stored data is preserved.
   void set_faults(fault_map faults);
 
   /// Selects the compiled fast path or the per-cell reference oracle for
@@ -85,7 +80,7 @@ class sram_array {
   [[nodiscard]] word_t read(std::uint32_t row) const;
 
   /// Batched write of rows [first, first + values.size()): one word per
-  /// row, streamed through the compiled planes. Counts one access per
+  /// row, streamed through the fault map's planes. Counts one access per
   /// word, added once for the whole row op.
   void write_rows(std::uint32_t first, std::span<const word_t> values);
 
@@ -117,7 +112,6 @@ class sram_array {
 
  private:
   fault_map faults_;
-  fault_plane plane_;
   std::vector<word_t> data_;
   fault_path path_ = default_fault_path();
   struct alignas(ts_cache_line) access_shard {

@@ -12,16 +12,11 @@ sram_array::sram_array(array_geometry geometry)
     : sram_array(fault_map(geometry)) {}
 
 sram_array::sram_array(fault_map faults)
-    : faults_(std::move(faults)),
-      plane_(faults_),
-      data_(faults_.geometry().rows, 0) {}
+    : faults_(std::move(faults)), data_(faults_.geometry().rows, 0) {}
 
 void sram_array::set_faults(fault_map faults) {
   expects(faults.geometry() == geometry(), "fault map geometry mismatch");
   faults_ = std::move(faults);
-  // The compiled planes describe the previous map: recompile them
-  // (in place — this runs once per tile in the Monte-Carlo loop).
-  plane_.recompile(faults_);
 }
 
 fault_path sram_array::default_fault_path() {
@@ -44,7 +39,7 @@ void sram_array::write(std::uint32_t row, word_t value) {
   value &= word_mask(width());
   data_[row] = path_ == fault_path::reference
                    ? faults_.apply_write_reference(row, data_[row], value)
-                   : plane_.apply_write(row, data_[row], value);
+                   : faults_.apply_write(row, data_[row], value);
   count_accesses(1);
 }
 
@@ -53,7 +48,7 @@ word_t sram_array::read(std::uint32_t row) const {
   count_accesses(1);
   return path_ == fault_path::reference
              ? faults_.corrupt_reference(row, data_[row])
-             : plane_.corrupt(row, data_[row]);
+             : faults_.corrupt(row, data_[row]);
 }
 
 void sram_array::write_rows(std::uint32_t first,
@@ -67,7 +62,7 @@ void sram_array::write_rows(std::uint32_t first,
           row, data_[row], values[i] & word_mask(width()));
     }
   } else {
-    plane_.apply_write_rows(
+    faults_.apply_write_rows(
         first, values, std::span<word_t>(data_).subspan(first, values.size()));
   }
   count_accesses(values.size());
@@ -85,7 +80,7 @@ void sram_array::read_rows(std::uint32_t first, std::span<word_t> out) const {
     return;
   }
   std::copy_n(data_.begin() + first, out.size(), out.begin());
-  plane_.corrupt_rows(first, out);
+  faults_.corrupt_rows(first, out);
 }
 
 word_t sram_array::read_ideal(std::uint32_t row) const {

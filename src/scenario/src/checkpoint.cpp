@@ -18,7 +18,10 @@ std::string padded_index(std::uint64_t grid_index) {
 /// Parses one checkpoint document; nullopt unless `text` is well-formed
 /// JSON carrying the expected schema tag (a truncated atomic write can
 /// never produce one, but any other torn or foreign file lands here).
-std::optional<json_value> parse_document(const std::string& text) {
+/// A JSON syntax error's message, with its line/column, goes to `why`
+/// when given.
+std::optional<json_value> parse_document(const std::string& text,
+                                         std::string* why = nullptr) {
   try {
     json_value doc = json_value::parse(text);
     const json_value* schema = doc.find("schema");
@@ -27,9 +30,15 @@ std::optional<json_value> parse_document(const std::string& text) {
       return std::nullopt;
     }
     return doc;
-  } catch (const json_parse_error&) {
+  } catch (const json_parse_error& error) {
+    if (why != nullptr) *why = error.what();
     return std::nullopt;
   }
+}
+
+/// ": <why>" when a parse error was recorded, "" otherwise.
+std::string because(const std::string& why) {
+  return why.empty() ? std::string() : ": " + why;
 }
 
 enum class point_file_state { missing, corrupt, stale, ok };
@@ -38,6 +47,7 @@ struct loaded_point {
   point_file_state state = point_file_state::missing;
   scenario_point_result point;
   std::string found_hash;  ///< hash the file claims (stale diagnostics)
+  std::string parse_error;  ///< JSON syntax error (corrupt diagnostics)
   json_value doc;          ///< full parsed document (duplicate compare)
 };
 
@@ -50,7 +60,8 @@ loaded_point load_point_file(const std::string& path,
   if (!text.has_value()) return result;  // missing
 
   result.state = point_file_state::corrupt;
-  const std::optional<json_value> doc = parse_document(*text);
+  const std::optional<json_value> doc =
+      parse_document(*text, &result.parse_error);
   if (!doc.has_value()) return result;
 
   const json_value* hash = doc->find("spec_hash");
@@ -182,14 +193,16 @@ scenario_report merge_checkpoints(const std::vector<std::string>& dirs) {
                                     "checkpoint directory (or its campaign "
                                     "never started)");
     }
-    const std::optional<json_value> doc = parse_document(*text);
+    std::string why;
+    const std::optional<json_value> doc = parse_document(*text, &why);
     const json_value* h = doc.has_value() ? doc->find("spec_hash") : nullptr;
     const json_value* size = doc.has_value() ? doc->find("grid_size") : nullptr;
     const json_value* s = doc.has_value() ? doc->find("spec") : nullptr;
     if (h == nullptr || !h->is_string() || size == nullptr ||
         !size->is_integer() || s == nullptr) {
-      throw spec_error("merge",
-                       "'" + path + "' is not a valid checkpoint manifest");
+      throw spec_error("merge", "'" + path +
+                                    "' is not a valid checkpoint manifest" +
+                                    because(why));
     }
     if (hash.empty()) {
       hash = h->as_string();
@@ -227,7 +240,8 @@ scenario_report merge_checkpoints(const std::vector<std::string>& dirs) {
           // has nothing to fall back on — fail loudly.
           throw spec_error("merge", "'" + path +
                                         "' is truncated or corrupt — delete "
-                                        "it and re-run its shard");
+                                        "it and re-run its shard" +
+                                        because(loaded.parse_error));
         case point_file_state::stale:
           throw_stale(path, loaded.found_hash, hash);
         case point_file_state::ok:

@@ -185,7 +185,7 @@ std::optional<std::uint32_t> protected_memory::retire_row_to_region(
     // Spares age like data rows: eligibility is judged against the
     // *current* map, so a spare that failed since manufacture is passed
     // over (but not consumed — a narrower row may still fit it later).
-    if ((faults.planes_of_row(physical).fault_cols & mask) != 0) continue;
+    if ((faults.fault_cols(physical) & mask) != 0) continue;
     spare_used_[physical - logical_rows_] = true;
     array_.write(physical, scheme_->encode(row, data));
     const auto it = std::lower_bound(

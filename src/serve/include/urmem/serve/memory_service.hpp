@@ -3,7 +3,7 @@
 //
 // A service is built from an ordinary scenario_spec: every resolved
 // scheme recipe (tiered/HRM region tables included) becomes one hot
-// tile — compiled fault planes, LUT codecs, spare pools and a PR 8
+// tile — fault-map planes, LUT codecs, spare pools and a
 // lifecycle_manager — and every request is applied to all tiles, so a
 // serving run compares protection schemes under identical traffic the
 // same way the batch workloads do.

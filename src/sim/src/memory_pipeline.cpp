@@ -40,7 +40,7 @@ matrix store_and_readback(const matrix& input, const storage_config& config,
     memory.set_fault_map(std::move(faults));
 
     // Stream the whole tile through the batched block-codec +
-    // fault-plane path: one scheme call and one row op per direction
+    // fault-map plane path: one scheme call and one row op per direction
     // instead of per-word virtual calls.
     memory.write_block(0, std::span<const word_t>(words).subspan(cursor, tile_words));
     protected_memory::block_stats block;

@@ -1,15 +1,18 @@
-// Property tests for the compiled fault-plane fast path: over randomized
-// fault maps covering all five fault_kinds, compiled-plane reads/writes
-// (single-word and batched row ops) must be bit-identical to the
-// per-cell reference walk and to fault_map's own mask path — including
-// transition faults across write sequences — and the batched APIs must
-// keep sram_array::access_count() at exactly one access per word.
+// Property tests for fault_map's dense plane ops: over randomized fault
+// maps covering all five fault_kinds (re-added cells included), the
+// mask ops (single-word and batched row ops through sram_array) must be
+// bit-identical to the per-cell reference walk and to an independent
+// cell-by-cell model — including transition faults across write
+// sequences — and the batched APIs must keep sram_array::access_count()
+// at exactly one access per word.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "urmem/common/rng.hpp"
-#include "urmem/memory/fault_plane.hpp"
+#include "urmem/memory/fault_map.hpp"
 #include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
 
@@ -20,27 +23,89 @@ constexpr fault_kind kAllKinds[] = {
     fault_kind::stuck_at_zero, fault_kind::stuck_at_one, fault_kind::flip,
     fault_kind::transition_up_fail, fault_kind::transition_down_fail};
 
+using cell_model =
+    std::map<std::pair<std::uint32_t, std::uint32_t>, fault_kind>;
+
 // Random map with `count` faults drawn uniformly over cells and kinds —
 // unlike the samplers' polarity presets this guarantees every kind has
 // equal mass, so thin kinds (transition faults) are always exercised.
+// Draws are with replacement, so dense maps re-add cells with a new
+// kind; `model` (when given) records the last kind per cell.
 fault_map random_map(const array_geometry& geometry, std::uint64_t count,
-                     rng& gen) {
+                     rng& gen, cell_model* model = nullptr) {
   fault_map map(geometry);
   for (std::uint64_t i = 0; i < count; ++i) {
-    map.add({static_cast<std::uint32_t>(gen.uniform_below(geometry.rows)),
-             static_cast<std::uint32_t>(gen.uniform_below(geometry.width)),
-             kAllKinds[gen.uniform_below(5)]});
+    const fault f{static_cast<std::uint32_t>(gen.uniform_below(geometry.rows)),
+                  static_cast<std::uint32_t>(gen.uniform_below(geometry.width)),
+                  kAllKinds[gen.uniform_below(5)]};
+    map.add(f);
+    if (model != nullptr) (*model)[{f.row, f.col}] = f.kind;
   }
   return map;
 }
 
-std::vector<word_t> random_words(std::uint32_t count, unsigned width, rng& gen) {
+std::vector<word_t> random_words(std::uint32_t count, unsigned width,
+                                 rng& gen) {
   std::vector<word_t> out(count);
   for (auto& w : out) w = gen() & word_mask(width);
   return out;
 }
 
-TEST(FaultPlaneTest, CompiledMatchesReferenceAndMaskPathOnReads) {
+TEST(FaultMapPlaneTest, PlanesMatchAnIndependentCellModel) {
+  rng gen(9001);
+  std::uint64_t re_added = 0;
+  for (int round = 0; round < 40; ++round) {
+    const array_geometry geometry{
+        static_cast<std::uint32_t>(1 + gen.uniform_below(200)),
+        static_cast<std::uint32_t>(1 + gen.uniform_below(64))};
+    const std::uint64_t draws = gen.uniform_below(3 * geometry.rows + 1);
+    cell_model model;
+    const fault_map map = random_map(geometry, draws, gen, &model);
+    re_added += draws - model.size();
+    ASSERT_EQ(map.fault_count(), model.size());
+
+    std::vector<fault> expected;
+    std::vector<word_t> cols(geometry.rows, 0);
+    for (const auto& [cell, kind] : model) {
+      expected.push_back({cell.first, cell.second, kind});
+      cols[cell.first] |= word_t{1} << cell.second;
+    }
+    EXPECT_EQ(map.all_faults(), expected);
+    for (std::uint32_t row = 0; row < geometry.rows; ++row) {
+      ASSERT_EQ(map.fault_cols(row), cols[row]) << "row " << row;
+      ASSERT_EQ(map.row_has_faults(row), cols[row] != 0) << "row " << row;
+      // Per-cell model of a write then a read: apply each cell's kind.
+      const word_t mask = word_mask(geometry.width);
+      const word_t old = gen() & mask;
+      const word_t ideal = gen();
+      word_t stored = ideal & mask;
+      word_t read = ideal & mask;
+      for (std::uint32_t col = 0; col < geometry.width; ++col) {
+        const auto it = model.find({row, col});
+        if (it == model.end()) continue;
+        const word_t bit = word_t{1} << col;
+        const bool rises = (old & bit) == 0 && (ideal & bit) != 0;
+        const bool falls = (old & bit) != 0 && (ideal & bit) == 0;
+        switch (it->second) {
+          case fault_kind::stuck_at_zero: read &= ~bit; break;
+          case fault_kind::stuck_at_one: read |= bit; break;
+          case fault_kind::flip: read ^= bit; break;
+          case fault_kind::transition_up_fail:
+            if (rises) stored &= ~bit;
+            break;
+          case fault_kind::transition_down_fail:
+            if (falls) stored |= bit;
+            break;
+        }
+      }
+      ASSERT_EQ(map.corrupt(row, ideal), read) << "row " << row;
+      ASSERT_EQ(map.apply_write(row, old, ideal), stored) << "row " << row;
+    }
+  }
+  EXPECT_GT(re_added, 0u);  // the replacement path was exercised
+}
+
+TEST(FaultMapPlaneTest, MaskOpsMatchReferenceOnReads) {
   rng gen(2024);
   for (int round = 0; round < 40; ++round) {
     const array_geometry geometry{
@@ -48,20 +113,18 @@ TEST(FaultPlaneTest, CompiledMatchesReferenceAndMaskPathOnReads) {
         static_cast<std::uint32_t>(1 + gen.uniform_below(64))};
     const fault_map map =
         random_map(geometry, gen.uniform_below(2 * geometry.rows + 1), gen);
-    const fault_plane plane(map);
-    ASSERT_EQ(plane.fault_count(), map.fault_count());
     for (int probe = 0; probe < 50; ++probe) {
       const auto row =
           static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
       const word_t ideal = gen();  // deliberately unmasked input
-      const word_t expected = map.corrupt(row, ideal);
-      EXPECT_EQ(plane.corrupt(row, ideal & word_mask(geometry.width)), expected);
-      EXPECT_EQ(map.corrupt_reference(row, ideal), expected);
+      const word_t expected = map.corrupt_reference(row, ideal);
+      EXPECT_EQ(map.corrupt(row, ideal), expected);
+      EXPECT_EQ(map.corrupt(row, ideal & word_mask(geometry.width)), expected);
     }
   }
 }
 
-TEST(FaultPlaneTest, CompiledMatchesReferenceOnWrites) {
+TEST(FaultMapPlaneTest, MaskOpsMatchReferenceOnWrites) {
   rng gen(77);
   for (int round = 0; round < 40; ++round) {
     const array_geometry geometry{
@@ -69,20 +132,18 @@ TEST(FaultPlaneTest, CompiledMatchesReferenceOnWrites) {
         static_cast<std::uint32_t>(1 + gen.uniform_below(64))};
     const fault_map map =
         random_map(geometry, gen.uniform_below(2 * geometry.rows + 1), gen);
-    const fault_plane plane(map);
     for (int probe = 0; probe < 50; ++probe) {
       const auto row =
           static_cast<std::uint32_t>(gen.uniform_below(geometry.rows));
       const word_t old = gen();
       const word_t incoming = gen();
-      const word_t expected = map.apply_write(row, old, incoming);
-      EXPECT_EQ(plane.apply_write(row, old, incoming), expected);
-      EXPECT_EQ(map.apply_write_reference(row, old, incoming), expected);
+      EXPECT_EQ(map.apply_write(row, old, incoming),
+                map.apply_write_reference(row, old, incoming));
     }
   }
 }
 
-TEST(FaultPlaneTest, BatchedRowOpsMatchPerWordOpsAcrossWriteSequences) {
+TEST(FaultMapPlaneTest, BatchedRowOpsMatchPerWordOpsAcrossWriteSequences) {
   rng gen(5150);
   for (int round = 0; round < 15; ++round) {
     const array_geometry geometry{
@@ -130,44 +191,42 @@ TEST(FaultPlaneTest, BatchedRowOpsMatchPerWordOpsAcrossWriteSequences) {
   }
 }
 
-TEST(FaultPlaneTest, MixedPolaritySamplerMapsCompileIdentically) {
+TEST(FaultMapPlaneTest, MixedPolaritySamplerMapsMatchReference) {
   rng gen(31337);
   const array_geometry geometry{512, 32};
   const fault_map map = sample_fault_map_exact(geometry, 800, gen,
                                                fault_polarity::mixed);
-  const fault_plane plane(map);
   rng probe(1);
   for (int i = 0; i < 2000; ++i) {
     const auto row = static_cast<std::uint32_t>(probe.uniform_below(512));
     const word_t ideal = probe() & word_mask(32);
-    EXPECT_EQ(plane.corrupt(row, ideal), map.corrupt_reference(row, ideal));
+    EXPECT_EQ(map.corrupt(row, ideal), map.corrupt_reference(row, ideal));
   }
 }
 
-TEST(FaultPlaneTest, FaultFreeSpanSkipsAreExact) {
+TEST(FaultMapPlaneTest, FaultFreeSpanSkipsAreExact) {
   fault_map map({256, 16});
   map.add({0, 3, fault_kind::flip});
   map.add({63, 1, fault_kind::stuck_at_one});
   map.add({64, 0, fault_kind::stuck_at_zero});
   map.add({255, 15, fault_kind::flip});
-  const fault_plane plane(map);
 
-  EXPECT_FALSE(plane.rows_fault_free(0, 256));
-  EXPECT_TRUE(plane.rows_fault_free(1, 62));    // 1..62 clean
-  EXPECT_FALSE(plane.rows_fault_free(1, 63));   // picks up row 63
-  EXPECT_TRUE(plane.rows_fault_free(65, 190));  // 65..254 clean
-  EXPECT_FALSE(plane.rows_fault_free(65, 191)); // picks up row 255
-  EXPECT_TRUE(plane.rows_fault_free(100, 0));
+  EXPECT_FALSE(map.rows_fault_free(0, 256));
+  EXPECT_TRUE(map.rows_fault_free(1, 62));    // 1..62 clean
+  EXPECT_FALSE(map.rows_fault_free(1, 63));   // picks up row 63
+  EXPECT_TRUE(map.rows_fault_free(65, 190));  // 65..254 clean
+  EXPECT_FALSE(map.rows_fault_free(65, 191)); // picks up row 255
+  EXPECT_TRUE(map.rows_fault_free(100, 0));
 
-  // A fault-free plane corrupts nothing under the batched op.
-  const fault_plane clean((fault_map(array_geometry{8, 16})));
+  // A fault-free map corrupts nothing under the batched op.
+  const fault_map clean(array_geometry{8, 16});
   std::vector<word_t> words{1, 2, 3, 4, 5, 6, 7, 8};
   const auto before = words;
   clean.corrupt_rows(0, words);
   EXPECT_EQ(words, before);
 }
 
-TEST(FaultPlaneTest, SetFaultsRecompilesThePlane) {
+TEST(FaultMapPlaneTest, SetFaultsSwapsTheMapWithNoStaleRows) {
   const array_geometry geometry{16, 8};
   sram_array array{(fault_map(geometry))};
   array.write(3, 0xFF);
@@ -175,16 +234,32 @@ TEST(FaultPlaneTest, SetFaultsRecompilesThePlane) {
 
   fault_map faults(geometry);
   faults.add({3, 0, fault_kind::stuck_at_zero});
-  array.set_faults(faults);  // must invalidate the compiled plane
+  array.set_faults(faults);
   EXPECT_EQ(array.read(3), 0xFEULL);
-  EXPECT_FALSE(array.plane().rows_fault_free(3, 1));
+  EXPECT_FALSE(array.faults().rows_fault_free(3, 1));
+
+  // A different map: row 3 is clean now, row 9 is not.
+  fault_map moved(geometry);
+  moved.add({9, 7, fault_kind::stuck_at_one});
+  array.set_faults(moved);
+  EXPECT_EQ(array.read(3), 0xFFULL);
+  EXPECT_EQ(array.read(9), 0x80ULL);
+  EXPECT_EQ(array.faults().faulty_rows(), (std::vector<std::uint32_t>{9}));
+  std::vector<word_t> all(16);
+  array.read_rows(0, all);
+  for (std::uint32_t row = 0; row < 16; ++row) {
+    EXPECT_EQ(all[row], moved.corrupt(row, array.read_ideal(row)));
+  }
 
   array.set_faults(fault_map(geometry));  // back to clean
   EXPECT_EQ(array.read(3), 0xFFULL);
-  EXPECT_TRUE(array.plane().rows_fault_free(0, 16));
+  EXPECT_EQ(array.read(9), 0x00ULL);
+  EXPECT_TRUE(array.faults().rows_fault_free(0, 16));
+  EXPECT_THROW(array.set_faults(fault_map(array_geometry{16, 9})),
+               std::invalid_argument);
 }
 
-TEST(FaultPlaneTest, AccessCountIsOnePerWordUnderBatchedOps) {
+TEST(FaultMapPlaneTest, AccessCountIsOnePerWordUnderBatchedOps) {
   const array_geometry geometry{64, 32};
   sram_array array{(fault_map(geometry))};
   EXPECT_EQ(array.access_count(), 0u);
@@ -214,7 +289,7 @@ TEST(FaultPlaneTest, AccessCountIsOnePerWordUnderBatchedOps) {
   EXPECT_EQ(array.access_count(), 90u);
 }
 
-TEST(FaultPlaneTest, BatchedOpsRejectOutOfRangeSpans) {
+TEST(FaultMapPlaneTest, BatchedOpsRejectOutOfRangeSpans) {
   sram_array array{(fault_map(array_geometry{8, 8}))};
   std::vector<word_t> nine(9, 0);
   EXPECT_THROW(array.read_rows(0, nine), std::invalid_argument);
@@ -222,10 +297,12 @@ TEST(FaultPlaneTest, BatchedOpsRejectOutOfRangeSpans) {
                std::invalid_argument);
   EXPECT_THROW(array.read_rows(9, std::span<word_t>(nine.data(), 0)),
                std::invalid_argument);
-  const fault_plane plane((fault_map(array_geometry{8, 8})));
-  EXPECT_THROW((void)plane.corrupt(8, 0), std::invalid_argument);
-  EXPECT_THROW((void)plane.rows_fault_free(0, 9), std::invalid_argument);
-  EXPECT_THROW((void)plane.rows_fault_free(9, 0), std::invalid_argument);
+  const fault_map map(array_geometry{8, 8});
+  EXPECT_THROW((void)map.corrupt(8, 0), std::invalid_argument);
+  EXPECT_THROW((void)map.apply_write(8, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)map.fault_cols(8), std::invalid_argument);
+  EXPECT_THROW((void)map.rows_fault_free(0, 9), std::invalid_argument);
+  EXPECT_THROW((void)map.rows_fault_free(9, 0), std::invalid_argument);
 }
 
 }  // namespace

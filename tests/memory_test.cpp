@@ -68,15 +68,6 @@ TEST(FaultMapTest, QueriesReportSortedFaults) {
   EXPECT_EQ(map.all_faults().size(), 3u);
 }
 
-TEST(FaultMapTest, ActiveFaultColumnsDependOnData) {
-  fault_map map({1, 8});
-  map.add({0, 1, fault_kind::stuck_at_one});
-  // Bit already 1: the stuck-at-1 cell is invisible for this pattern.
-  EXPECT_TRUE(map.active_fault_columns(0, 0x02).empty());
-  EXPECT_EQ(map.active_fault_columns(0, 0x00),
-            (std::vector<std::uint32_t>{1}));
-}
-
 TEST(FaultMapTest, RejectsOutOfRangeCells) {
   fault_map map({4, 8});
   EXPECT_THROW(map.add({4, 0, fault_kind::flip}), std::invalid_argument);

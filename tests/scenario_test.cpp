@@ -476,6 +476,39 @@ TEST(Json, ParseErrorsCarryPosition) {
   }
 }
 
+TEST(Json, NestingIsBoundedAndReportsItsPosition) {
+  // Exactly max_depth levels parse (arrays and objects count alike)...
+  std::string ok;
+  for (std::size_t i = 0; i < json_value::max_depth; ++i) {
+    ok += (i % 2 == 0) ? "[" : "{\"k\":";
+  }
+  ok += "0";
+  for (std::size_t i = json_value::max_depth; i-- > 0;) {
+    ok += (i % 2 == 0) ? "]" : "}";
+  }
+  EXPECT_NO_THROW((void)json_value::parse(ok));
+  EXPECT_THROW((void)json_value::parse("[" + ok + "]"), json_parse_error);
+
+  // A hostile 200,000-deep document (once a stack overflow) fails at the
+  // first bracket past the limit.
+  const std::string deep(200000, '[');
+  try {
+    (void)json_value::parse(deep);
+    FAIL() << "expected json_parse_error";
+  } catch (const json_parse_error& error) {
+    EXPECT_EQ(error.line(), 1u);
+    EXPECT_EQ(error.column(), json_value::max_depth + 1);
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos);
+  }
+  try {
+    (void)json_value::parse("\n " + deep);
+    FAIL() << "expected json_parse_error";
+  } catch (const json_parse_error& error) {
+    EXPECT_EQ(error.line(), 2u);
+    EXPECT_EQ(error.column(), json_value::max_depth + 2);
+  }
+}
+
 TEST(Json, IntegersRoundTripExactly) {
   const json_value doc = json_value::parse(R"({"seed": 18446744073709551615})");
   EXPECT_EQ(doc.find("seed")->as_u64(), 18446744073709551615ull);

@@ -407,6 +407,35 @@ TEST(Merge, RejectsDirectoriesFromDifferentCampaigns) {
   EXPECT_THROW((void)merge_checkpoints({}), spec_error);
 }
 
+TEST(MergeCheckpoints, DeeplyNestedFilesFailWithTheirParsePosition) {
+  const std::string deep(200000, '[');
+  const auto expect_position = [](const std::string& dir) {
+    try {
+      (void)merge_checkpoints({dir});
+      FAIL() << "expected spec_error";
+    } catch (const spec_error& error) {
+      EXPECT_NE(std::string(error.what()).find("line 1, column 257"),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  // As the manifest...
+  const std::string manifest_dir = scratch_dir("deep_manifest");
+  write_file_atomic(manifest_dir + "/manifest.json", deep);
+  expect_position(manifest_dir);
+
+  // ...and as a point file of an otherwise valid checkpoint directory.
+  const scenario_spec spec = grid_spec();
+  const std::string point_dir = scratch_dir("deep_point");
+  const scenario_runner runner(spec);
+  run_options options;
+  options.checkpoint_dir = point_dir;
+  std::ostringstream text;
+  (void)runner.run(text, options);
+  write_file_atomic(point_dir + "/point_000000.json", deep);
+  expect_position(point_dir);
+}
+
 // ---------------------------------------------------- fs + hash helpers
 
 TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
@@ -423,6 +452,18 @@ TEST(FsHelpers, AtomicWriteCreatesParentDirsAndLeavesNoTemp) {
   }
   EXPECT_EQ(files, 1u);
   EXPECT_FALSE(read_file(dir + "/nope.json").has_value());
+
+  // A bare file name publishes (and syncs) relative to the working
+  // directory; no temp sibling survives there either.
+  const std::string bare = "urmem_fs_atomic_bare.json";
+  write_file_atomic(bare, "bare");
+  EXPECT_EQ(*read_file(bare), "bare");
+  for (const auto& entry : std::filesystem::directory_iterator(".")) {
+    EXPECT_EQ(entry.path().filename().string().find(bare + ".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+  std::filesystem::remove(bare);
 }
 
 TEST(SpecHash, IsStableAndSensitive) {
