@@ -1,36 +1,264 @@
-// Micro-benchmarks (google-benchmark): the three benchmark algorithms
-// at their Fig. 7 problem sizes — one iteration of the quality
-// experiment costs one fit+score of each.
-#include <benchmark/benchmark.h>
+// Micro-benchmarks of the Fig. 7 application kernels: one quality trial
+// costs one evaluate() (fit on the faulty readback + score on the clean
+// test set) of each Table 1 application.
+//
+// Before timing anything the bench checks the production kernels
+// against the reference implementations in src/verify on faulty Fig. 7-
+// shaped inputs (the PCA app's 400 x 60 features and HAR-like 1200 x 6
+// KNN features, stored through none / nFM=1 tiles at 0..150 faults per
+// tile) and exits nonzero on any mismatch:
+//   1. covariance() == covariance_reference(), bit for bit;
+//   2. symmetric_eigen eigenvalues within 1e-10 (relative to the largest)
+//      of jacobi_eigen's, and the PCA score within 1e-10 of the
+//      Jacobi-based score;
+//   3. knn_classifier::predict == knn_predict_one_reference, every query.
+// Then it times each app's evaluate(), the eigensolver against Jacobi,
+// covariance and KNN predict against their references, and reports
+// speedup_pca_vs_jacobi (symmetric_eigen vs jacobi_eigen on the 60 x 60
+// covariance), which the CI perf job gates. Emits BENCH_micro_ml.json
+// (see README "Bench telemetry").
+//
+// Flags:
+//   --seed=S         fault-injection seed            (default 1)
+//   --faults=N       faults per tile for the timed inputs (default 80)
+//   --min-time-ms=T  min wall time per timed bench   (default 200)
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iostream>
+#include <numeric>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
+#include "urmem/common/rng.hpp"
+#include "urmem/datasets/generators.hpp"
+#include "urmem/ml/knn.hpp"
+#include "urmem/ml/matrix.hpp"
+#include "urmem/ml/pca.hpp"
+#include "urmem/ml/preprocessing.hpp"
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/memory_pipeline.hpp"
+#include "urmem/verify/ml_reference.hpp"
 
 namespace {
 
 using namespace urmem;
 
-void bm_app_evaluate(benchmark::State& state) {
-  const auto apps = make_all_applications();
-  const auto& app = apps[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(app->evaluate(app->train_features()));
-  }
-  state.SetLabel(app->name());
-}
-BENCHMARK(bm_app_evaluate)->Arg(0)->Arg(1)->Arg(2);
+constexpr std::size_t kComponents = 5;  // the PCA app's component count
+constexpr std::size_t kNeighbors = 5;   // the KNN app's k
 
-void bm_store_and_readback(benchmark::State& state) {
-  const auto app = make_elasticnet_app();
-  rng gen(1);
-  const fault_injector inject = exact_fault_injector(131);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(store_and_readback(
-        app->train_features(), storage_config{},
-        [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 2); },
-        inject, gen));
-  }
+bool same_bits(const matrix& a, const matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.data().begin(), a.data().end(), b.data().begin(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
 }
-BENCHMARK(bm_store_and_readback);
+
+matrix faulty_readback(const matrix& clean, bool shuffle, std::uint64_t faults,
+                       rng& gen) {
+  const scheme_factory factory = [shuffle](std::uint32_t rows) {
+    return shuffle ? make_scheme_shuffle(rows, 32, 1) : make_scheme_none(32);
+  };
+  return store_and_readback(clean, storage_config{}, factory,
+                            exact_fault_injector(faults), gen);
+}
+
+struct knn_data {
+  matrix train;
+  std::vector<int> labels;
+  matrix queries;
+};
+
+// The KNN app's shapes: HAR-like features standardized, 1200 training
+// rows and 300 queries.
+knn_data make_knn_data() {
+  const dataset data = make_har_like();
+  standard_scaler scaler;
+  const matrix all = scaler.fit_transform(data.features);
+  std::vector<std::size_t> train_rows(1200);
+  std::vector<std::size_t> query_rows(data.size() - train_rows.size());
+  std::iota(train_rows.begin(), train_rows.end(), std::size_t{0});
+  std::iota(query_rows.begin(), query_rows.end(), train_rows.size());
+  return {take_rows(all, train_rows), take(data.labels, train_rows),
+          take_rows(all, query_rows)};
+}
+
+std::vector<int> knn_reference_predict(const matrix& train,
+                                       const std::vector<int>& labels,
+                                       const matrix& queries) {
+  std::vector<int> out;
+  out.reserve(queries.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    out.push_back(
+        knn_predict_one_reference(train, labels, kNeighbors, queries.row(q)));
+  }
+  return out;
+}
+
+// Checks every fast kernel against its oracle on one faulty input pair.
+bool verify_against_oracles(const matrix& pca_stored, const matrix& pca_holdout,
+                            const knn_data& knn, const matrix& knn_stored,
+                            const std::string& label) {
+  const matrix cov = covariance(pca_stored);
+  if (!same_bits(cov, covariance_reference(pca_stored))) {
+    std::cerr << "COVARIANCE MISMATCH " << label << "\n";
+    return false;
+  }
+  const eigen_decomposition fast = symmetric_eigen(cov);
+  const eigen_decomposition ref = jacobi_eigen(cov);
+  const double scale = std::abs(ref.values.front());
+  for (std::size_t i = 0; i < ref.values.size(); ++i) {
+    if (std::abs(fast.values[i] - ref.values[i]) > 1e-10 * scale) {
+      std::cerr << "EIGENVALUE MISMATCH " << label << " index " << i << ": "
+                << fast.values[i] << " vs " << ref.values[i] << "\n";
+      return false;
+    }
+  }
+  pca model(kComponents);
+  model.fit(pca_stored);
+  const double score = model.score(pca_holdout);
+  const double ref_score =
+      pca_score_reference(pca_stored, pca_holdout, kComponents);
+  if (!(std::abs(score - ref_score) <= 1e-10)) {
+    std::cerr << "PCA SCORE MISMATCH " << label << ": " << score << " vs "
+              << ref_score << "\n";
+    return false;
+  }
+  knn_classifier classifier(kNeighbors);
+  classifier.fit(knn_stored, knn.labels);
+  if (classifier.predict(knn.queries) !=
+      knn_reference_predict(knn_stored, knn.labels, knn.queries)) {
+    std::cerr << "KNN PREDICTION MISMATCH " << label << "\n";
+    return false;
+  }
+  return true;
+}
 
 }  // namespace
+
+int main(int argc, char** argv) {
+  const bench::arg_parser args(argc, argv);
+  bench::banner("micro_ml — Fig. 7 application kernels vs reference oracles",
+                "per-trial retrain + score of the Fig. 7 quality experiment");
+
+  const std::uint64_t seed = args.get_u64("seed", 1);
+  const std::uint64_t faults = args.get_u64("faults", 80);
+  const double min_ms = args.get_double("min-time-ms", 200.0);
+
+  const auto apps = make_all_applications();
+  const auto pca_app = make_pca_app();
+  const matrix& pca_clean = pca_app->train_features();
+  const knn_data knn = make_knn_data();
+
+  rng gen(seed);
+  std::size_t checked = 0;
+  for (const bool shuffle : {false, true}) {
+    for (const std::uint64_t n : {0u, 1u, 10u, 50u, 150u}) {
+      const std::string label = std::string(shuffle ? "nFM=1" : "none") +
+                                " faults=" + std::to_string(n);
+      const matrix pca_stored = faulty_readback(pca_clean, shuffle, n, gen);
+      const matrix knn_stored = faulty_readback(knn.train, shuffle, n, gen);
+      if (!verify_against_oracles(pca_stored, pca_clean, knn, knn_stored,
+                                  label)) {
+        return 1;
+      }
+      ++checked;
+    }
+  }
+  std::cout << "kernels match the reference oracles on " << checked
+            << " faulty input pairs: covariance and KNN bit-identical, "
+               "eigenvalues and PCA score within 1e-10\n\n";
+
+  std::vector<bench::micro_result> results;
+  for (const auto& app : apps) {
+    const matrix stored =
+        faulty_readback(app->train_features(), true, faults, gen);
+    results.push_back(bench::run_micro(
+        app->name() + " evaluate", 1,
+        [&] {
+          bench::keep(std::bit_cast<std::uint64_t>(app->evaluate(stored)));
+        },
+        min_ms));
+  }
+
+  const matrix pca_stored = faulty_readback(pca_clean, true, faults, gen);
+  const matrix cov = covariance(pca_stored);
+  const auto first_value = [](const eigen_decomposition& eig) {
+    return std::bit_cast<std::uint64_t>(eig.values.front());
+  };
+  results.push_back(bench::run_micro(
+      "pca eigen symmetric_eigen 60x60", 1,
+      [&] { bench::keep(first_value(symmetric_eigen(cov))); }, min_ms));
+  const std::size_t fast_eigen = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "pca eigen jacobi 60x60", 1,
+      [&] { bench::keep(first_value(jacobi_eigen(cov))); }, min_ms));
+  const std::size_t jacobi = results.size() - 1;
+
+  const auto first_entry = [](const matrix& m) {
+    return std::bit_cast<std::uint64_t>(m(0, 0));
+  };
+  results.push_back(bench::run_micro(
+      "covariance 400x60", 1,
+      [&] { bench::keep(first_entry(covariance(pca_stored))); }, min_ms));
+  const std::size_t fast_cov = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "covariance reference 400x60", 1,
+      [&] { bench::keep(first_entry(covariance_reference(pca_stored))); },
+      min_ms));
+  const std::size_t ref_cov = results.size() - 1;
+
+  const matrix knn_stored = faulty_readback(knn.train, true, faults, gen);
+  knn_classifier classifier(kNeighbors);
+  classifier.fit(knn_stored, knn.labels);
+  const std::uint64_t queries = knn.queries.rows();
+  results.push_back(bench::run_micro(
+      "knn predict 1200x6 (per query)", queries,
+      [&] {
+        bench::keep(
+            static_cast<std::uint64_t>(classifier.predict(knn.queries)[0]));
+      },
+      min_ms));
+  const std::size_t fast_knn = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "knn predict reference (per query)", queries,
+      [&] {
+        bench::keep(static_cast<std::uint64_t>(
+            knn_reference_predict(knn_stored, knn.labels, knn.queries)[0]));
+      },
+      min_ms));
+  const std::size_t ref_knn = results.size() - 1;
+
+  bench::print_micro_table(results);
+
+  const auto speedup = [&](std::size_t slow, std::size_t fast) {
+    return results[slow].ns_per_item / results[fast].ns_per_item;
+  };
+  const double speedup_pca = speedup(jacobi, fast_eigen);
+  const double speedup_cov = speedup(ref_cov, fast_cov);
+  const double speedup_knn = speedup(ref_knn, fast_knn);
+  std::cout << "\nspeedup vs reference: eigensolver " << speedup_pca
+            << "x, covariance " << speedup_cov << "x, knn predict "
+            << speedup_knn << "x\n";
+
+  bench::json_object payload = bench::bench_envelope("micro_ml");
+  bench::json_object config;
+  config.add("seed", seed)
+      .add("faults_per_tile", faults)
+      .add("min_time_ms", min_ms)
+      .add("verified_input_pairs", std::uint64_t{checked});
+  payload.add_raw("config", config.str());
+  std::vector<std::string> entries;
+  entries.reserve(results.size());
+  for (const auto& r : results) entries.push_back(bench::micro_json(r));
+  payload.add_raw("results", bench::json_array(entries));
+  payload.add("speedup_pca_vs_jacobi", speedup_pca);
+  payload.add("speedup_covariance_vs_reference", speedup_cov);
+  payload.add("speedup_knn_vs_reference", speedup_knn);
+  bench::write_bench_json("micro_ml", payload);
+  return 0;
+}

@@ -17,6 +17,11 @@ namespace urmem {
 
 /// Array geometry: `rows` words of `width` bits each.
 struct array_geometry {
+  /// Largest row count any external input (scenario spec, fault-map
+  /// file) may request: 2^22 words, far beyond the paper's 4096-row
+  /// tiles, while a dense fault_map of that size stays under 170 MB.
+  static constexpr std::uint32_t max_rows = 1u << 22;
+
   std::uint32_t rows = 0;
   std::uint32_t width = 0;
 

@@ -1,7 +1,11 @@
 #include "urmem/memory/fault_map_io.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <system_error>
 
 #include "urmem/common/contracts.hpp"
 
@@ -27,6 +31,43 @@ fault_kind fault_kind_from_name(const std::string& name) {
   throw std::invalid_argument("unknown fault kind: " + name);
 }
 
+namespace {
+
+/// Decimal digits only (no sign, no whitespace) within [lo, hi].
+std::optional<std::uint32_t> parse_bounded(const std::string& text,
+                                           std::uint32_t lo, std::uint32_t hi) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+/// Parses line 2 of either format, "geometry <rows> <width>", bounding
+/// both fields before anything is sized from them: a hostile header
+/// must be a line-numbered error, not a multi-gigabyte allocation.
+array_geometry parse_geometry_line(const std::string& line) {
+  std::istringstream geo(line);
+  std::string tag;
+  std::string rows_text;
+  std::string width_text;
+  geo >> tag >> rows_text >> width_text;
+  expects(tag == "geometry" && !geo.fail(), "bad geometry line 2: " + line);
+  const auto rows = parse_bounded(rows_text, 1, array_geometry::max_rows);
+  expects(rows.has_value(), "fault map line 2: geometry rows must be in [1, " +
+                                std::to_string(array_geometry::max_rows) +
+                                "], got " + rows_text);
+  const auto width = parse_bounded(width_text, 1, 64);
+  expects(width.has_value(),
+          "fault map line 2: geometry width must be in [1, 64], got " +
+              width_text);
+  return {*rows, *width};
+}
+
+}  // namespace
+
 void write_fault_map(std::ostream& out, const fault_map& map) {
   out << "urmem-faultmap v1\n";
   out << "geometry " << map.geometry().rows << " " << map.geometry().width << "\n";
@@ -43,14 +84,8 @@ fault_map read_fault_map(std::istream& in) {
   expects(line == "urmem-faultmap v1", "bad fault map header: " + line);
 
   expects(static_cast<bool>(std::getline(in, line)), "missing geometry line");
-  std::istringstream geo(line);
+  fault_map map(parse_geometry_line(line));
   std::string tag;
-  std::uint32_t rows = 0;
-  std::uint32_t width = 0;
-  geo >> tag >> rows >> width;
-  expects(tag == "geometry" && !geo.fail(), "bad geometry line: " + line);
-
-  fault_map map({rows, width});
   std::size_t line_no = 2;
   while (std::getline(in, line)) {
     ++line_no;
@@ -87,11 +122,9 @@ timeline_fault_set read_timeline_faults(std::istream& in) {
   expects(v2 || line == "urmem-faultmap v1", "bad fault map header: " + line);
 
   expects(static_cast<bool>(std::getline(in, line)), "missing geometry line");
-  std::istringstream geo(line);
-  std::string tag;
   timeline_fault_set set;
-  geo >> tag >> set.geometry.rows >> set.geometry.width;
-  expects(tag == "geometry" && !geo.fail(), "bad geometry line: " + line);
+  set.geometry = parse_geometry_line(line);
+  std::string tag;
 
   std::size_t line_no = 2;
   while (std::getline(in, line)) {

@@ -1,6 +1,6 @@
-// Principal component analysis via a cyclic Jacobi eigensolver — the
-// paper's dimensionality-reduction benchmark (Table 1, Madelon dataset,
-// explained-variance metric).
+// Principal component analysis via a symmetric Householder + QL
+// eigensolver — the paper's dimensionality-reduction benchmark
+// (Table 1, Madelon dataset, explained-variance metric).
 #pragma once
 
 #include <cstddef>
@@ -10,20 +10,30 @@
 
 namespace urmem {
 
-/// Symmetric eigendecomposition by the cyclic Jacobi method.
-/// Returns eigenvalues (descending) and matching eigenvectors as the
-/// columns of `vectors`.
+/// Symmetric eigendecomposition: eigenvalues (descending) and matching
+/// unit eigenvectors as the columns of `vectors`.
 struct eigen_decomposition {
   std::vector<double> values;
   matrix vectors;
 };
 
-/// Decomposes a symmetric matrix `a`; sweeps until the off-diagonal
-/// Frobenius mass drops below `tol` (relative) or `max_sweeps` is hit.
-/// Jacobi converges quadratically, so the tight default costs at most a
-/// sweep or two over a loose one.
-[[nodiscard]] eigen_decomposition jacobi_eigen(const matrix& a, double tol = 1e-24,
-                                               std::size_t max_sweeps = 64);
+/// Full eigendecomposition of the symmetric matrix `a` (only its lower
+/// triangle is read): Householder reduction to tridiagonal form, then
+/// implicit QL with the transformations accumulated into the vectors
+/// (the EISPACK tred2/tql2 pair). Every eigenvalue is computed, since
+/// explained-variance ratios need the whole spectrum. Throws
+/// std::logic_error if an eigenvalue fails to converge within
+/// `max_iterations_per_value` QL steps (1-2 are typical).
+[[nodiscard]] eigen_decomposition symmetric_eigen(
+    const matrix& a, std::size_t max_iterations_per_value = 60);
+
+/// Explained-variance score of the orthonormal basis `components`
+/// (p x k, as columns) on `x` (n x p): 1 - ||Xc - Xc V V^T||_F^2 /
+/// ||Xc||_F^2, with Xc centered by x's own mean (so a corrupted
+/// training mean cannot inflate the variance the basis is scored
+/// against). 1 for constant data.
+[[nodiscard]] double explained_variance_score(const matrix& components,
+                                              const matrix& x);
 
 /// PCA fitted on the covariance of the training features.
 class pca {
@@ -48,12 +58,9 @@ class pca {
   /// Component directions as columns (p x k), orthonormal.
   [[nodiscard]] const matrix& components() const { return components_; }
 
-  /// Explained-variance score of the fitted basis on a holdout set:
-  /// 1 - ||Xc - Xc V V^T||_F^2 / ||Xc||_F^2, with Xc centered by the
-  /// holdout's own mean (so a corrupted training mean cannot inflate
-  /// the variance the basis is scored against). Equals the captured
-  /// variance fraction on the training set; degrades when the basis was
-  /// fitted on corrupted data.
+  /// explained_variance_score of the fitted basis on a holdout set.
+  /// Equals the captured variance fraction on the training set;
+  /// degrades when the basis was fitted on corrupted data.
   [[nodiscard]] double score(const matrix& x) const;
 
  private:

@@ -57,13 +57,35 @@ matrix covariance(const matrix& a) {
   expects(a.rows() >= 2, "covariance needs at least two rows");
   matrix centered = a;
   center_columns(centered, column_means(a));
-  matrix cov(a.cols(), a.cols(), 0.0);
-  for (std::size_t i = 0; i < centered.rows(); ++i) {
-    const auto row = centered.row(i);
-    for (std::size_t p = 0; p < a.cols(); ++p) {
-      const double v = row[p];
-      if (v == 0.0) continue;
-      for (std::size_t q = p; q < a.cols(); ++q) cov(p, q) += v * row[q];
+  const std::size_t cols = a.cols();
+  matrix cov(cols, cols, 0.0);
+  // Four rows per pass over the upper triangle: every entry still adds
+  // its row terms one at a time in row order, so the sums are the same
+  // bits as one row per pass, but each cov row is loaded and stored
+  // once per four rows. (A zero row value adds +-0, which leaves any
+  // finite sum's bits unchanged, so zeros need no test.)
+  std::size_t i = 0;
+  for (; i + 4 <= centered.rows(); i += 4) {
+    const double* r0 = centered.row(i).data();
+    const double* r1 = centered.row(i + 1).data();
+    const double* r2 = centered.row(i + 2).data();
+    const double* r3 = centered.row(i + 3).data();
+    for (std::size_t p = 0; p < cols; ++p) {
+      const double v0 = r0[p];
+      const double v1 = r1[p];
+      const double v2 = r2[p];
+      const double v3 = r3[p];
+      double* out = cov.row(p).data();
+      for (std::size_t q = p; q < cols; ++q) {
+        out[q] = out[q] + v0 * r0[q] + v1 * r1[q] + v2 * r2[q] + v3 * r3[q];
+      }
+    }
+  }
+  for (; i < centered.rows(); ++i) {
+    const double* r = centered.row(i).data();
+    for (std::size_t p = 0; p < cols; ++p) {
+      double* out = cov.row(p).data();
+      for (std::size_t q = p; q < cols; ++q) out[q] += r[p] * r[q];
     }
   }
   const double denom = static_cast<double>(a.rows() - 1);

@@ -153,7 +153,7 @@ void parse_geometry(const json_value& doc, geometry_spec& geometry) {
     const std::string field = "geometry." + key;
     if (key == "rows_per_tile") {
       geometry.rows_per_tile =
-          get_bounded_unsigned(value, field, 1, 1u << 22);
+          get_bounded_unsigned(value, field, 1, array_geometry::max_rows);
     } else if (key == "word_bits") {
       geometry.word_bits = get_bounded_unsigned(value, field, 1, 64);
     } else if (key == "frac_bits") {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/hwmodel/system_energy.hpp"
@@ -72,6 +73,51 @@ TEST(FaultMapIoTest, RejectsMalformedInput) {
   EXPECT_THROW((void)read_fault_map(out_of_range), std::invalid_argument);
   std::istringstream missing_geometry("urmem-faultmap v1\n");
   EXPECT_THROW((void)read_fault_map(missing_geometry), std::invalid_argument);
+}
+
+// Hostile geometry headers must be rejected with the line number before
+// anything is sized from them: 4000000000 rows would be a ~190 GB dense
+// map, and `>> uint32_t` silently wraps "-1" to 4294967295.
+TEST(FaultMapIoTest, OutOfRangeGeometryIsRejectedBeforeAllocating) {
+  const std::string too_many = std::to_string(array_geometry::max_rows + 1);
+  for (const std::string version : {"v1", "v2"}) {
+    for (const std::string rows : {"-1", "0", too_many.c_str(), "4000000000",
+                                   "99999999999999999999", "+5", "12x"}) {
+      const std::string text = "urmem-faultmap " + version + "\ngeometry " +
+                               rows + " 32\nfault 0 0 sa0" +
+                               (version == "v2" ? " 0\n" : "\n");
+      SCOPED_TRACE(version + " rows=" + rows);
+      const auto expect_rejected = [&](auto read) {
+        std::istringstream in(text);
+        try {
+          (void)read(in);
+          ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& error) {
+          const std::string message = error.what();
+          EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+          EXPECT_NE(message.find("rows"), std::string::npos) << message;
+        }
+      };
+      if (version == "v1") {
+        expect_rejected([](std::istream& in) { return read_fault_map(in); });
+      }
+      expect_rejected(
+          [](std::istream& in) { return read_timeline_faults(in); });
+    }
+    // Width is bounded the same way (1..64).
+    for (const std::string width : {"0", "65", "-32"}) {
+      std::istringstream in("urmem-faultmap " + version + "\ngeometry 4 " +
+                            width + "\n");
+      EXPECT_THROW((void)read_timeline_faults(in), std::invalid_argument)
+          << width;
+    }
+  }
+  // The bound itself is accepted (the spec parser shares it).
+  std::istringstream at_bound("urmem-faultmap v2\ngeometry " +
+                              std::to_string(array_geometry::max_rows) +
+                              " 32\n");
+  EXPECT_EQ(read_timeline_faults(at_bound).geometry.rows,
+            array_geometry::max_rows);
 }
 
 TEST(FaultMapIoTest, KindNamesRoundTrip) {

@@ -1,20 +1,115 @@
 // Tests for the native ML library: matrix algebra, preprocessing,
-// metrics, and the three benchmark algorithms of Table 1.
+// metrics, and the three benchmark algorithms of Table 1 — including
+// the fast kernels checked against the reference implementations in
+// urmem/verify/ml_reference.hpp (eigensolver vs Jacobi to 1e-10;
+// covariance and KNN bit-identical).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/common/stats.hpp"
+#include "urmem/datasets/generators.hpp"
 #include "urmem/ml/elasticnet.hpp"
 #include "urmem/ml/knn.hpp"
 #include "urmem/ml/matrix.hpp"
 #include "urmem/ml/metrics.hpp"
 #include "urmem/ml/pca.hpp"
 #include "urmem/ml/preprocessing.hpp"
+#include "urmem/sim/applications.hpp"
+#include "urmem/sim/memory_pipeline.hpp"
+#include "urmem/verify/ml_reference.hpp"
 
 namespace urmem {
 namespace {
+
+// ---------------------------------------------------------------- helpers
+
+bool same_bits(const matrix& a, const matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a.data()[i]) !=
+        std::bit_cast<std::uint64_t>(b.data()[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+matrix random_symmetric(std::size_t p, rng& gen) {
+  matrix a(p, p);
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = i; j < p; ++j) {
+      a(i, j) = gen.normal();
+      a(j, i) = a(i, j);
+    }
+  }
+  return a;
+}
+
+// B^T B for a random (p + 3) x p matrix B: symmetric positive definite.
+matrix random_psd(std::size_t p, rng& gen) {
+  matrix b(p + 3, p);
+  for (double& v : b.data()) v = gen.normal();
+  return matmul(transpose(b), b);
+}
+
+// Q diag(values) Q^T with a random orthogonal Q.
+matrix with_spectrum(const std::vector<double>& values, rng& gen) {
+  const std::size_t p = values.size();
+  const matrix q = jacobi_eigen(random_symmetric(p, gen)).vectors;
+  matrix lambda(p, p, 0.0);
+  for (std::size_t i = 0; i < p; ++i) lambda(i, i) = values[i];
+  matrix a = matmul(matmul(q, lambda), transpose(q));
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < i; ++j) a(i, j) = a(j, i);  // exactly symmetric
+  }
+  return a;
+}
+
+// symmetric_eigen agrees with the Jacobi oracle on the spectrum and
+// returns a genuine orthonormal eigenbasis: all within 1e-10 of the
+// spectral scale.
+void expect_matches_jacobi(const matrix& a, const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::size_t p = a.rows();
+  const eigen_decomposition fast = symmetric_eigen(a);
+  const eigen_decomposition ref = jacobi_eigen(a);
+  ASSERT_EQ(fast.values.size(), p);
+  double scale = 0.0;
+  for (const double v : ref.values) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < p; ++i) {
+    EXPECT_LE(std::abs(fast.values[i] - ref.values[i]), 1e-10 * scale)
+        << "eigenvalue " << i;
+    if (i > 0) {
+      EXPECT_GE(fast.values[i - 1], fast.values[i]) << "not descending";
+    }
+  }
+  const matrix& v = fast.vectors;
+  const matrix av = matmul(a, v);
+  double residual = 0.0;
+  double orthogonality = 0.0;
+  for (std::size_t r = 0; r < p; ++r) {
+    for (std::size_t c = 0; c < p; ++c) {
+      residual =
+          std::max(residual, std::abs(av(r, c) - v(r, c) * fast.values[c]));
+    }
+  }
+  const matrix gram = matmul(transpose(v), v);
+  for (std::size_t r = 0; r < p; ++r) {
+    for (std::size_t c = 0; c < p; ++c) {
+      orthogonality =
+          std::max(orthogonality, std::abs(gram(r, c) - (r == c ? 1.0 : 0.0)));
+    }
+  }
+  EXPECT_LE(residual, 1e-10 * std::max(scale, 1.0));
+  EXPECT_LE(orthogonality, 1e-10);
+}
 
 // ---------------------------------------------------------------- matrix
 
@@ -67,6 +162,42 @@ TEST(MatrixTest, CovarianceOfKnownData) {
 
 TEST(MatrixTest, MatmulDimensionMismatchRejected) {
   EXPECT_THROW(matmul(matrix(2, 3), matrix(2, 3)), std::invalid_argument);
+}
+
+TEST(MatrixTest, CovarianceIsBitIdenticalToTheRowByRowReference) {
+  rng gen(21);
+  // Row counts around the 4-row block, including remainders.
+  for (const std::size_t n : {2u, 3u, 4u, 5u, 7u, 37u, 400u}) {
+    matrix x(n, 13);
+    for (double& v : x.data()) v = 3.0 * gen.normal() + 1.0;
+    EXPECT_TRUE(same_bits(covariance(x), covariance_reference(x))) << "n=" << n;
+  }
+  // Exact zeros after centering: rows come in +/- pairs, so every column
+  // mean is exactly 0 and zeroed entries stay zero (the skipped terms).
+  matrix paired(40, 9);
+  for (std::size_t i = 0; i < 40; i += 2) {
+    for (std::size_t j = 0; j < 9; ++j) {
+      const double v = gen.uniform_below(3) == 0 ? 0.0 : gen.normal();
+      paired(i, j) = v;
+      paired(i + 1, j) = -v;
+    }
+  }
+  EXPECT_TRUE(same_bits(covariance(paired), covariance_reference(paired)));
+  // A constant column centers to all zeros.
+  matrix constant_col(11, 4);
+  for (double& v : constant_col.data()) v = gen.normal();
+  for (std::size_t i = 0; i < 11; ++i) constant_col(i, 2) = 5.0;
+  EXPECT_TRUE(same_bits(covariance(constant_col),
+                        covariance_reference(constant_col)));
+  // The PCA app's 400 x 60 training features, clean and after faults.
+  const auto app = make_pca_app(7);
+  const matrix& clean = app->train_features();
+  EXPECT_TRUE(same_bits(covariance(clean), covariance_reference(clean)));
+  const matrix stored = store_and_readback(
+      clean, storage_config{},
+      [](std::uint32_t) { return make_scheme_none(32); },
+      exact_fault_injector(150), gen);
+  EXPECT_TRUE(same_bits(covariance(stored), covariance_reference(stored)));
 }
 
 // --------------------------------------------------------- preprocessing
@@ -181,11 +312,11 @@ TEST(ElasticnetTest, PredictBeforeFitRejected) {
 
 // ------------------------------------------------------------------- pca
 
-TEST(JacobiTest, DiagonalizesKnownSymmetricMatrix) {
+TEST(EigenTest, DiagonalizesKnownSymmetricMatrix) {
   // Eigenvalues of [[2,1],[1,2]] are 3 and 1.
   matrix a(2, 2);
   a(0, 0) = 2; a(0, 1) = 1; a(1, 0) = 1; a(1, 1) = 2;
-  const eigen_decomposition eig = jacobi_eigen(a);
+  const eigen_decomposition eig = symmetric_eigen(a);
   EXPECT_NEAR(eig.values[0], 3.0, 1e-10);
   EXPECT_NEAR(eig.values[1], 1.0, 1e-10);
   // Eigenvector of lambda=3 is (1,1)/sqrt(2) up to sign.
@@ -193,7 +324,7 @@ TEST(JacobiTest, DiagonalizesKnownSymmetricMatrix) {
   EXPECT_NEAR(std::abs(eig.vectors(1, 0)), std::sqrt(0.5), 1e-10);
 }
 
-TEST(JacobiTest, ReconstructsTheInput) {
+TEST(EigenTest, ReconstructsTheInput) {
   rng gen(5);
   const std::size_t p = 8;
   matrix a(p, p);
@@ -203,7 +334,7 @@ TEST(JacobiTest, ReconstructsTheInput) {
       a(j, i) = a(i, j);
     }
   }
-  const eigen_decomposition eig = jacobi_eigen(a);
+  const eigen_decomposition eig = symmetric_eigen(a);
   // A = V diag(lambda) V^T.
   matrix lambda(p, p, 0.0);
   for (std::size_t i = 0; i < p; ++i) lambda(i, i) = eig.values[i];
@@ -282,6 +413,72 @@ TEST(PcaTest, TransformInverseTransformRoundTrip) {
   }
 }
 
+// ------------------------------------------- eigensolver vs Jacobi oracle
+
+TEST(EigenTest, MatchesJacobiOnRandomSymmetricAndPsdMatrices) {
+  rng gen(31);
+  for (const std::size_t p : {1u, 2u, 8u, 60u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      expect_matches_jacobi(random_symmetric(p, gen),
+                            "symmetric p=" + std::to_string(p));
+      expect_matches_jacobi(random_psd(p, gen), "psd p=" + std::to_string(p));
+    }
+  }
+}
+
+TEST(EigenTest, MatchesJacobiOnDegenerateMatrices) {
+  rng gen(32);
+  expect_matches_jacobi(matrix(6, 6, 0.0), "zero");
+  matrix diagonal(7, 7, 0.0);
+  const double entries[] = {3.0, -1.0, 0.0, 8.5, 2.0, 2.0, -4.0};
+  for (std::size_t i = 0; i < 7; ++i) diagonal(i, i) = entries[i];
+  expect_matches_jacobi(diagonal, "diagonal");
+  matrix rank1(9, 9);
+  std::vector<double> u(9);
+  for (double& x : u) x = gen.normal();
+  for (std::size_t i = 0; i < 9; ++i) {
+    for (std::size_t j = 0; j < 9; ++j) rank1(i, j) = u[i] * u[j];
+  }
+  expect_matches_jacobi(rank1, "rank-1");
+  expect_matches_jacobi(with_spectrum({3.0, 3.0, 3.0, 1.0, 1.0, -2.0}, gen),
+                        "repeated eigenvalues");
+  expect_matches_jacobi(with_spectrum(std::vector<double>(8, 2.5), gen),
+                        "multiple of the identity");
+}
+
+TEST(EigenTest, IterationCapFailsLoudly) {
+  rng gen(33);
+  const matrix a = random_symmetric(30, gen);
+  EXPECT_THROW((void)symmetric_eigen(a, 1), std::logic_error);
+  EXPECT_THROW((void)symmetric_eigen(matrix(2, 3)), std::invalid_argument);
+}
+
+TEST(PcaTest, FaultyFig7ReadbacksScoreLikeTheJacobiOracle) {
+  // The PCA application's shapes: 400 x 60 standardized features, read
+  // back from faulty 4096-row tiles, 5 components.
+  const auto app = make_pca_app(7);
+  const matrix& clean = app->train_features();
+  rng gen(34);
+  const scheme_factory none = [](std::uint32_t) {
+    return make_scheme_none(32);
+  };
+  const scheme_factory shuffle = [](std::uint32_t rows) {
+    return make_scheme_shuffle(rows, 32, 1);
+  };
+  for (const std::uint64_t faults : {0u, 1u, 20u, 150u}) {
+    for (const scheme_factory* factory : {&none, &shuffle}) {
+      const matrix stored =
+          store_and_readback(clean, storage_config{}, *factory,
+                             exact_fault_injector(faults), gen);
+      pca model(5);
+      model.fit(stored);
+      EXPECT_NEAR(model.score(clean), pca_score_reference(stored, clean, 5),
+                  1e-10)
+          << faults << " faults";
+    }
+  }
+}
+
 // ------------------------------------------------------------------- knn
 
 TEST(KnnTest, PerfectOnSeparatedClusters) {
@@ -322,10 +519,124 @@ TEST(KnnTest, MajorityVoteBreaksTiesTowardSmallerLabel) {
 TEST(KnnTest, RejectsMisuse) {
   knn_classifier model(5);
   EXPECT_THROW(model.fit(matrix(3, 2), {0, 1, 0}), std::invalid_argument);
+  EXPECT_THROW((void)model.predict(matrix(2, 2)), std::invalid_argument);
   matrix x(6, 2);
   model.fit(x, {0, 1, 0, 1, 0, 1});
   const std::vector<double> bad_dim{1.0};
   EXPECT_THROW((void)model.predict_one(bad_dim), std::invalid_argument);
+  EXPECT_THROW((void)model.predict(matrix(2, 3)), std::invalid_argument);
+}
+
+// predict() and predict_one() equal the brute-force oracle on every
+// query row of `queries`.
+void expect_knn_matches_reference(const matrix& train,
+                                  const std::vector<int>& labels,
+                                  std::size_t k, const matrix& queries,
+                                  const std::string& label) {
+  SCOPED_TRACE(label + " k=" + std::to_string(k));
+  knn_classifier model(k);
+  model.fit(train, labels);
+  const std::vector<int> predicted = model.predict(queries);
+  ASSERT_EQ(predicted.size(), queries.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    const int expected =
+        knn_predict_one_reference(train, labels, k, queries.row(q));
+    EXPECT_EQ(predicted[q], expected) << "query " << q;
+    EXPECT_EQ(model.predict_one(queries.row(q)), expected) << "query " << q;
+  }
+}
+
+TEST(KnnTest, PredictionsAreBitIdenticalToTheBruteForceReference) {
+  rng gen(41);
+  // 101 rows: not a multiple of the 8-row block.
+  const std::size_t n = 101;
+  const std::size_t p = 7;
+  matrix train(n, p);
+  for (double& v : train.data()) v = gen.normal();
+  // Duplicated training rows: equal d^2, so the training index decides.
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::size_t from = gen.uniform_below(n);
+    const std::size_t to = gen.uniform_below(n);
+    for (std::size_t j = 0; j < p; ++j) train(to, j) = train(from, j);
+  }
+  // Negative and non-contiguous labels.
+  const int palette[] = {-7, -1, 2, 40, 1000};
+  std::vector<int> labels(n);
+  for (int& l : labels) l = palette[gen.uniform_below(5)];
+
+  matrix queries(80, p);
+  for (double& v : queries.data()) v = gen.normal();
+  for (std::size_t q = 0; q < 20; ++q) {  // queries sitting on training rows
+    const std::size_t from = gen.uniform_below(n);
+    for (std::size_t j = 0; j < p; ++j) queries(q, j) = train(from, j);
+  }
+  for (const std::size_t k : {1u, 2u, 4u, 5u, 8u, 9u, 50u, 101u}) {
+    expect_knn_matches_reference(train, labels, k, queries, "random");
+  }
+}
+
+TEST(KnnTest, TiesInDistanceAndVotesMatchTheReference) {
+  // Every training row duplicated with a different label: each neighbor
+  // pair ties on d^2, and even k splits votes evenly.
+  matrix train(16, 2);
+  std::vector<int> labels(16);
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t half = 0; half < 2; ++half) {
+      train(2 * i + half, 0) = static_cast<double>(i);
+      train(2 * i + half, 1) = 0.5 * static_cast<double>(i % 3);
+      labels[2 * i + half] = half == 0 ? 9 : -9;
+    }
+  }
+  matrix queries(24, 2);
+  rng gen(42);
+  for (std::size_t q = 0; q < 24; ++q) {
+    queries(q, 0) =
+        static_cast<double>(q % 8) + (q < 8 ? 0.0 : 0.5 * gen.normal());
+    queries(q, 1) = 0.5 * static_cast<double>(q % 3);
+  }
+  for (const std::size_t k : {1u, 2u, 3u, 4u, 6u, 16u}) {
+    expect_knn_matches_reference(train, labels, k, queries, "ties");
+  }
+  // A single class, and every row voting (k == n).
+  expect_knn_matches_reference(train, std::vector<int>(16, 3), 16, queries,
+                               "one class");
+}
+
+TEST(KnnTest, PaddingRowsOfTheLastBlockNeverVote) {
+  // 11 rows (a partial last block) far from the origin; queries at and
+  // near the origin sit closer to the block's zero padding than to any
+  // real row.
+  matrix train(11, 3);
+  std::vector<int> labels(11);
+  for (std::size_t i = 0; i < 11; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      train(i, j) = 50.0 + static_cast<double>(i + j);
+    }
+    labels[i] = 10 - static_cast<int>(i);  // nearest row: largest label
+  }
+  matrix queries(2, 3, 0.0);
+  queries(1, 2) = -1.0;
+  for (const std::size_t k : {1u, 3u, 11u}) {
+    expect_knn_matches_reference(train, labels, k, queries, "padding");
+  }
+}
+
+TEST(KnnTest, FaultyFig7ReadbacksPredictLikeTheReference) {
+  // The KNN application's shapes: HAR-like features (6 columns),
+  // standardized, read back from faulty tiles; clean rows as queries.
+  const dataset data = make_har_like();
+  standard_scaler scaler;
+  const matrix clean = scaler.fit_transform(data.features);
+  const matrix queries = take_rows(clean, {0, 3, 10, 99, 400, 777, 1001, 1499});
+  rng gen(43);
+  for (const std::uint64_t faults : {0u, 40u, 150u}) {
+    const matrix stored = store_and_readback(
+        clean, storage_config{},
+        [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 1); },
+        exact_fault_injector(faults), gen);
+    expect_knn_matches_reference(stored, data.labels, 5, queries,
+                                 std::to_string(faults) + " faults");
+  }
 }
 
 }  // namespace
