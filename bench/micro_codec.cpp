@@ -7,14 +7,15 @@
 //   1. hamming_secded LUT encode/decode == the per-bit reference walk
 //      (exhaustive data for narrow widths, randomized for wide; all
 //      single- and double-bit error patterns for decode);
-//   2. block encode/decode == the per-word scalar path, bit-identical
-//      in data AND decode statuses, for every scheme type (none,
-//      SECDED, P-ECC, bit-shuffling) across tile sizes including 1,
-//      a non-multiple-of-tile remainder, and the full array.
-// Then it times the W=32 SECDED tile paths and reports
+//   2. block encode/decode == the per-word reference oracle,
+//      bit-identical in data AND decode statuses, for every scheme type
+//      (none, SECDED, Hsiao, BCH, P-ECC, bit-shuffling) across tile
+//      sizes including 1, a non-multiple-of-tile remainder, and the
+//      full array.
+// Then it times the W=32 SECDED/Hsiao/BCH tile paths and reports
 // speedup_{encode,decode}_block_vs_scalar — block-codec tile loop vs
-// the pre-compilation per-word virtual reference path — which the CI
-// perf job gates at >= 3x. Emits BENCH_micro_codec.json (see README
+// the per-word virtual reference codecs — which the CI perf job gates
+// at >= 3x. Emits BENCH_micro_codec.json (see README
 // "Bench telemetry").
 //
 // Flags:
@@ -119,10 +120,10 @@ bool verify_codec_lut(const char* label, const Code& code,
   return true;
 }
 
-// Block path == per-word scalar path (data and statuses) for one scheme
-// instance across the required tile sizes.
-bool verify_block_equals_scalar(protection_scheme& scheme, std::uint32_t rows,
-                                std::uint64_t seed) {
+// Block path == per-word reference oracle (data and statuses) for one
+// scheme instance across the required tile sizes.
+bool verify_block_equals_reference(protection_scheme& scheme,
+                                   std::uint32_t rows, std::uint64_t seed) {
   // Configure from a random fault map over the storage geometry, the
   // way BIST would — exercises the shuffle LUT's nonzero entries.
   rng gen(seed);
@@ -137,45 +138,36 @@ bool verify_block_equals_scalar(protection_scheme& scheme, std::uint32_t rows,
     while (first < rows) {
       const std::size_t count = std::min<std::size_t>(tile, rows - first);
       const std::span<const word_t> in(data.data() + first, count);
-      std::vector<word_t> block(count);
-      scheme.encode_block(first, in, block);
       std::vector<word_t> stored(count);
-      block_decode_stats scalar_stats;
+      scheme.encode_block(first, in, stored);
+      block_decode_stats reference_stats;
+      std::vector<read_result> reference(count);
       for (std::size_t i = 0; i < count; ++i) {
         const std::uint32_t row = first + static_cast<std::uint32_t>(i);
-        stored[i] = scheme.encode(row, in[i]);
-        if (block[i] != stored[i] ||
-            stored[i] != scheme.encode_reference(row, in[i])) {
-          std::cerr << "BLOCK/SCALAR ENCODE MISMATCH scheme="
+        if (stored[i] != scheme.encode_reference(row, in[i])) {
+          std::cerr << "BLOCK/REFERENCE ENCODE MISMATCH scheme="
                     << scheme.name() << " row=" << row << "\n";
           return false;
         }
         // Corrupt some words so decode exercises all status paths.
         if (i % 3 == 0) stored[i] = flip_bit(stored[i], row % scheme.storage_bits());
         if (i % 7 == 0) stored[i] = flip_bit(stored[i], (row + 5) % scheme.storage_bits());
-        const read_result r = scheme.decode(row, stored[i]);
-        const read_result ref = scheme.decode_reference(row, stored[i]);
-        if (r.data != ref.data || r.status != ref.status) {
-          std::cerr << "SCALAR/REFERENCE DECODE MISMATCH scheme="
-                    << scheme.name() << " row=" << row << "\n";
-          return false;
-        }
-        scalar_stats.count(r.status);
+        reference[i] = scheme.decode_reference(row, stored[i]);
+        reference_stats.count(reference[i].status);
       }
       std::vector<word_t> decoded(count);
       const block_decode_stats stats =
           scheme.decode_block(first, stored, decoded);
-      if (stats.corrected != scalar_stats.corrected ||
-          stats.uncorrectable != scalar_stats.uncorrectable) {
-        std::cerr << "BLOCK/SCALAR DECODE STATS MISMATCH scheme="
+      if (stats.corrected != reference_stats.corrected ||
+          stats.uncorrectable != reference_stats.uncorrectable) {
+        std::cerr << "BLOCK/REFERENCE DECODE STATS MISMATCH scheme="
                   << scheme.name() << " first=" << first << "\n";
         return false;
       }
       for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t row = first + static_cast<std::uint32_t>(i);
-        if (decoded[i] != scheme.decode(row, stored[i]).data) {
-          std::cerr << "BLOCK/SCALAR DECODE MISMATCH scheme="
-                    << scheme.name() << " row=" << row << "\n";
+        if (decoded[i] != reference[i].data) {
+          std::cerr << "BLOCK/REFERENCE DECODE MISMATCH scheme="
+                    << scheme.name() << " row=" << first + i << "\n";
           return false;
         }
       }
@@ -228,13 +220,13 @@ int main(int argc, char** argv) {
     protection_scheme* schemes[] = {&none,  &secded, &hsiao, &bch1,
                                     &bch2,  &pecc,   &shuffle};
     for (protection_scheme* scheme : schemes) {
-      if (!verify_block_equals_scalar(*scheme, verify_rows, seed + 77)) {
+      if (!verify_block_equals_reference(*scheme, verify_rows, seed + 77)) {
         return 1;
       }
     }
   }
   std::cout << "compiled codecs bit-identical to the per-bit reference, "
-               "block == scalar across all schemes: ok\n\n";
+               "block == reference across all schemes: ok\n\n";
 
   std::vector<bench::micro_result> results;
 
@@ -317,10 +309,10 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------- tile paths: block codec vs per-word scalar path
-  // The gated comparisons. "scalar" is the pre-compilation per-word
-  // virtual reference walk (what write_block/read_block did before the
-  // block codec layer); "block" is one encode_block/decode_block call
-  // over the whole tile. SECDED, Hsiao and BCH t=2 are gated.
+  // The gated comparisons. "scalar" is the per-word virtual reference
+  // walk (what write_block/read_block run under URMEM_FAULT_PATH=
+  // reference); "block" is one encode_block/decode_block call over the
+  // whole tile. SECDED, Hsiao and BCH t=2 are gated.
   struct tile_speedups {
     double encode = 0.0;
     double decode = 0.0;

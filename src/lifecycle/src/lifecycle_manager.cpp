@@ -121,7 +121,7 @@ void lifecycle_manager::handle_uncorrectable(std::uint32_t row, word_t data) {
   for (std::uint32_t attempt = 1; attempt <= retire_.max_retries; ++attempt) {
     ++counters_.read_retries;
     const word_t raw = timeline_.corrupt_read(physical, stored, attempt);
-    const read_result retried = memory_.scheme().decode(row, raw);
+    const read_result retried = memory_.decode_stored(row, raw);
     if (retried.status == ecc_status::detected_uncorrectable) continue;
     ++counters_.retry_successes;
     // The data survived after all: restore the codeword and treat the

@@ -88,6 +88,15 @@ class option_map {
 /// value overrides.
 [[nodiscard]] std::vector<std::string> split_csv(std::string_view text);
 
+/// Splits a comma-separated list of compact scheme entries — the one
+/// scheme-list syntax of urmem-run's schemes= override and
+/// urmem-verify --schemes. A tiered entry's sub-scheme options also use
+/// commas (tiered:0-99=secded:100-4095=shuffle,nfm=2); an item whose
+/// leading name token carries '=' can never start a standalone entry
+/// (scheme names have no '='), so such items re-join the entry they
+/// were split from.
+[[nodiscard]] std::vector<std::string> split_scheme_list(std::string_view text);
+
 /// Parses a double with full-token validation; throws spec_error
 /// blaming `field` otherwise. Shared by option_map and the spec parser.
 [[nodiscard]] double parse_spec_double(std::string_view field,

@@ -120,6 +120,20 @@ std::vector<std::string> split_csv(std::string_view text) {
   return items;
 }
 
+std::vector<std::string> split_scheme_list(std::string_view text) {
+  std::vector<std::string> entries;
+  for (const std::string& item : split_csv(text)) {
+    const std::string_view name_token =
+        std::string_view(item).substr(0, item.find(':'));
+    if (!entries.empty() && name_token.find('=') != std::string_view::npos) {
+      entries.back() += "," + item;
+    } else {
+      entries.push_back(item);
+    }
+  }
+  return entries;
+}
+
 std::vector<std::string> option_map::get_list(std::string_view key,
                                               std::string_view fallback) const {
   const std::string* value = raw(key);

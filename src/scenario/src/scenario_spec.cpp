@@ -857,24 +857,9 @@ void apply_spec_override(json_value& doc, std::string_view key,
   }
 
   if (key == "schemes") {
-    // Comma-separated compact scheme forms replace the whole list. A
-    // tiered entry's sub-scheme options also use commas
-    // (tiered:0-99=secded:100-4095=shuffle,nfm=2); an item whose
-    // leading name token carries '=' can never start a standalone entry
-    // (scheme names have no '='), so such items re-join the entry they
-    // were split from.
-    std::vector<std::string> items;
-    for (const std::string& item : split_csv(value)) {
-      const std::string_view name_token =
-          std::string_view(item).substr(0, item.find(':'));
-      if (!items.empty() && name_token.find('=') != std::string_view::npos) {
-        items.back() += "," + item;
-      } else {
-        items.push_back(item);
-      }
-    }
+    // Comma-separated compact scheme forms replace the whole list.
     json_value list = json_value::make_array();
-    for (const std::string& item : items) {
+    for (const std::string& item : split_scheme_list(value)) {
       list.push_back(json_value(item));
     }
     doc.set("schemes", std::move(list));

@@ -141,8 +141,8 @@ class protected_memory {
 
   /// Selects the compiled fast machinery or the reference oracle for
   /// subsequent accesses — switches both the array's fault application
-  /// (see sram_array::set_fault_path) and the scheme codec path used by
-  /// write_block/read_block (block-compiled vs per-word reference).
+  /// (see sram_array::set_fault_path) and the scheme codec path of every
+  /// access below (block codecs vs the per-word reference codecs).
   void set_fault_path(fault_path path) { array_.set_fault_path(path); }
 
   /// Encodes and stores a data word.
@@ -150,6 +150,11 @@ class protected_memory {
 
   /// Reads and decodes a data word through the faulty array.
   [[nodiscard]] read_result read(std::uint32_t row) const;
+
+  /// Decodes `stored` as logical `row`'s stored word through the
+  /// selected codec path — the lifecycle layer's raw-retry decode.
+  [[nodiscard]] read_result decode_stored(std::uint32_t row,
+                                          word_t stored) const;
 
   /// Decode outcome counters of a batched read_block — the scheme
   /// layer's counters, accumulated over the whole block.
@@ -161,8 +166,7 @@ class protected_memory {
   /// the reference fault path (URMEM_FAULT_PATH=reference or
   /// set_fault_path), encoding drops to the per-word
   /// scheme->encode_reference oracle instead, so the figure benches
-  /// differentially test block-vs-scalar and compiled-vs-reference
-  /// codecs in one switch.
+  /// differentially test block-vs-reference codecs in one switch.
   void write_block(std::uint32_t first, std::span<const word_t> data);
 
   /// Streams rows [first, first + size) out of the array and decodes
@@ -192,6 +196,9 @@ class protected_memory {
  private:
   /// Physical row serving logical `row` (identity unless remapped).
   [[nodiscard]] std::uint32_t physical_row(std::uint32_t row) const;
+
+  /// Scalar encode through the selected codec path.
+  [[nodiscard]] word_t encode_word(std::uint32_t row, word_t data) const;
 
   std::unique_ptr<protection_scheme> scheme_;
   std::uint32_t logical_rows_;

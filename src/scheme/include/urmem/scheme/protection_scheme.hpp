@@ -7,17 +7,28 @@
 // fault locations (bit-shuffling) are (re)configured through
 // configure(); ECC-based schemes ignore it.
 //
-// Besides the functional encode/decode path, every scheme exposes
-// worst_case_row_cost(): the row's contribution to the analytic MSE
-// criterion of Eq. (6) given the row's physical faulty columns. The
-// yield machinery (Fig. 5) evaluates millions of fault maps through
-// this hook without touching stored data.
+// Each scheme implements one codec path and one cost rule:
+//
+//   * encode_block/decode_block — the compiled codecs. Scalar
+//     encode()/decode() are one-element block calls, not a second path.
+//   * encode_reference/decode_reference — the per-bit oracle the block
+//     codecs were derived from; protected_memory switches to it under
+//     URMEM_FAULT_PATH=reference, so it ships in production binaries.
+//   * residual_fault_bits(row, cols) — the logical bits that survive
+//     correction in a faulty row. worst_case_row_cost(row, cols), the
+//     row's Eq. (6) contribution, is derived from it as sum 4^b; the
+//     yield machinery (Fig. 5) evaluates millions of fault maps through
+//     it without touching stored data.
+//
+// Name, widths, LUT bits and the correction guarantee are a
+// scheme_shape fixed at construction.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "urmem/common/bitops.hpp"
@@ -47,107 +58,118 @@ struct block_decode_stats {
   }
 };
 
+/// Labels and geometry of a scheme, fixed when it is built.
+struct scheme_shape {
+  std::string name;                  ///< table label, e.g. "nFM=2"
+  unsigned data_bits = 0;            ///< logical data word width W
+  unsigned storage_bits = 0;         ///< stored row width (data + parity)
+  unsigned lut_bits_per_row = 0;     ///< side-table bits per row (nFM)
+  unsigned guaranteed_correctable_bits = 0;  ///< t of a t-error code
+};
+
 /// Abstract fault-mitigation technique for a fixed-geometry memory.
+///
+/// Six virtual hooks make a scheme: configure, the block codecs, the
+/// reference codecs and the per-row residual. Everything else — the
+/// scalar codecs and the Eq. (6) row cost — is derived here once.
 class protection_scheme {
  public:
   virtual ~protection_scheme() = default;
+  protection_scheme(const protection_scheme&) = delete;
+  protection_scheme& operator=(const protection_scheme&) = delete;
+
+  /// The fixed labels and geometry; delegating wrappers pass it on.
+  [[nodiscard]] const scheme_shape& shape() const { return shape_; }
 
   /// Human-readable name used in benchmark tables, e.g. "nFM=2".
-  [[nodiscard]] virtual std::string name() const = 0;
+  [[nodiscard]] const std::string& name() const { return shape_.name; }
 
   /// Width of the logical data word W.
-  [[nodiscard]] virtual unsigned data_bits() const = 0;
+  [[nodiscard]] unsigned data_bits() const { return shape_.data_bits; }
 
   /// Stored row width (data + parity columns); LUT columns of the
   /// shuffling scheme are tracked separately (see lut_bits_per_row).
-  [[nodiscard]] virtual unsigned storage_bits() const = 0;
+  [[nodiscard]] unsigned storage_bits() const { return shape_.storage_bits; }
 
   /// Extra side-table bits per row (nFM for bit-shuffling, 0 otherwise).
-  [[nodiscard]] virtual unsigned lut_bits_per_row() const { return 0; }
+  [[nodiscard]] unsigned lut_bits_per_row() const {
+    return shape_.lut_bits_per_row;
+  }
 
   /// Number of per-row bit errors the scheme is guaranteed to correct
   /// at any positions (the t of a t-error-correcting code): 1 for
   /// SEC-DED-class schemes, t for BCH, 0 for schemes with no such
   /// guarantee (none, shuffle, P-ECC). The exhaustive verification
   /// harness derives its enumeration depth (t+1) from this.
-  [[nodiscard]] virtual unsigned guaranteed_correctable_bits() const {
-    return 0;
+  [[nodiscard]] unsigned guaranteed_correctable_bits() const {
+    return shape_.guaranteed_correctable_bits;
   }
 
   /// Re-programs the scheme from a BIST-discovered fault map. The map's
   /// geometry must cover storage_bits() columns. Default: no-op.
   virtual void configure(const fault_map& faults);
 
-  /// Encodes `data` for storage in `row`.
-  [[nodiscard]] virtual word_t encode(std::uint32_t row, word_t data) const = 0;
-
-  /// Decodes the stored row back to a data word.
-  [[nodiscard]] virtual read_result decode(std::uint32_t row, word_t stored) const = 0;
-
-  /// Batched encode of rows [first_row, first_row + data.size()):
-  /// out[i] = encode(first_row + i, data[i]). One virtual call per tile;
-  /// every concrete scheme overrides it with a devirtualized loop over
-  /// its compiled codec tables. `out` may alias `data` and must match
-  /// its length. The base implementation is the per-word scalar
-  /// fallback (and the semantic definition of the override).
+  /// Batched encode of rows [first_row, first_row + data.size()): one
+  /// virtual call per tile, a devirtualized loop over the scheme's
+  /// compiled codec tables inside. `out` may alias `data` and must
+  /// match its length.
   virtual void encode_block(std::uint32_t first_row,
                             std::span<const word_t> data,
-                            std::span<word_t> out) const;
+                            std::span<word_t> out) const = 0;
 
-  /// Batched decode of rows [first_row, first_row + stored.size());
-  /// out[i] = decode(first_row + i, stored[i]).data, with the per-word
-  /// statuses accumulated into the returned counters. `out` may alias
-  /// `stored`.
+  /// Batched decode of rows [first_row, first_row + stored.size()),
+  /// with the per-word statuses accumulated into the returned counters.
+  /// `out` may alias `stored`.
   virtual block_decode_stats decode_block(std::uint32_t first_row,
                                           std::span<const word_t> stored,
-                                          std::span<word_t> out) const;
+                                          std::span<word_t> out) const = 0;
 
   /// Reference (oracle) scalar encode/decode: the per-bit codec walks
-  /// the compiled fast paths were derived from. Bit-identical to
-  /// encode()/decode(); protected_memory routes through these when
-  /// URMEM_FAULT_PATH=reference so the figure benches differentially
-  /// test the compiled layer end to end. Defaults alias encode/decode
-  /// for schemes with no separate compiled form.
+  /// the compiled block paths were derived from, bit-identical to them.
+  /// protected_memory routes every access through these when
+  /// URMEM_FAULT_PATH=reference, so the figure benches and oracle diffs
+  /// test the compiled layer end to end.
   [[nodiscard]] virtual word_t encode_reference(std::uint32_t row,
-                                                word_t data) const {
-    return encode(row, data);
-  }
+                                                word_t data) const = 0;
   [[nodiscard]] virtual read_result decode_reference(std::uint32_t row,
-                                                     word_t stored) const {
-    return decode(row, stored);
-  }
-
-  /// Worst-case squared error magnitude sum_i (2^{b_i})^2 contributed by
-  /// a row whose faulty *storage* columns are `fault_cols`, assuming
-  /// two's-complement integer data and BIST-optimal configuration
-  /// (Eq. 6; see each scheme for its fault-to-logical-bit mapping).
-  [[nodiscard]] virtual double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const = 0;
+                                                     word_t stored) const = 0;
 
   /// Appends the logical bit significances b_i that remain corrupted
-  /// after the scheme's correction, for a row whose faulty storage
-  /// columns are `fault_cols` — the worst-case residual behind Eq. (6):
-  /// worst_case_row_cost(fault_cols) == sum_i 4^{b_i} over exactly
-  /// these bits. Composition layers (stacked_scheme) use this hook to
-  /// feed one stage's surviving corruption into the next stage as that
-  /// stage's fault columns.
-  virtual void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  /// after the scheme's correction, for `row` whose faulty storage
+  /// columns are `fault_cols`, assuming two's-complement integer data
+  /// and BIST-optimal configuration — the worst-case residual behind
+  /// Eq. (6). Homogeneous schemes ignore `row`; tiered_scheme charges
+  /// each row at its own tier. Composition layers (stacked_scheme) feed
+  /// one stage's residual into the next stage as its fault columns.
+  virtual void residual_fault_bits(std::uint32_t row,
+                                   std::span<const std::uint32_t> fault_cols,
                                    std::vector<std::uint32_t>& out) const = 0;
 
-  /// Row-addressed variants of the Eq. (6) hooks. Homogeneous schemes
-  /// protect every row identically, so the defaults ignore `row`; the
-  /// heterogeneous tiered_scheme overrides them to charge each row at
-  /// its own tier. The MSE machinery (sample_mse, analytic_mse) walks
-  /// faults row by row anyway and routes through these.
-  [[nodiscard]] virtual double worst_case_row_cost_at(
-      std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols) const {
-    return worst_case_row_cost(fault_cols);
+  /// Scalar encode: a one-element encode_block call.
+  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const;
+
+  /// Scalar decode: a one-element decode_block call; the status comes
+  /// from the returned counters.
+  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const;
+
+  /// Worst-case squared error magnitude sum_i (2^{b_i})^2 of `row`
+  /// (Eq. 6), summed over residual_fault_bits(row, fault_cols) in the
+  /// order the bits are appended.
+  [[nodiscard]] double worst_case_row_cost(
+      std::uint32_t row, std::span<const std::uint32_t> fault_cols) const;
+
+  /// Older name of worst_case_row_cost(row, fault_cols), kept only
+  /// because the perfbench harness still calls it.
+  [[nodiscard]] double worst_case_row_cost_at(
+      std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
+    return worst_case_row_cost(row, fault_cols);
   }
-  virtual void residual_fault_bits_at(std::uint32_t /*row*/,
-                                      std::span<const std::uint32_t> fault_cols,
-                                      std::vector<std::uint32_t>& out) const {
-    residual_fault_bits(fault_cols, out);
-  }
+
+ protected:
+  explicit protection_scheme(scheme_shape shape) : shape_(std::move(shape)) {}
+
+ private:
+  scheme_shape shape_;
 };
 
 /// Pass-through scheme: the unprotected memory of the paper's baselines.
@@ -155,37 +177,6 @@ class none_scheme final : public protection_scheme {
  public:
   explicit none_scheme(unsigned width = 32);
 
-  [[nodiscard]] std::string name() const override { return "no-correction"; }
-  [[nodiscard]] unsigned data_bits() const override { return width_; }
-  [[nodiscard]] unsigned storage_bits() const override { return width_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
-  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
-                    std::span<word_t> out) const override;
-  block_decode_stats decode_block(std::uint32_t first_row,
-                                  std::span<const word_t> stored,
-                                  std::span<word_t> out) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                           std::vector<std::uint32_t>& out) const override;
-
- private:
-  unsigned width_;
-};
-
-/// Classical SECDED ECC on the whole word — H(39,32) for 32-bit data.
-class secded_scheme final : public protection_scheme {
- public:
-  explicit secded_scheme(unsigned width = 32);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return code_.data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return code_.codeword_bits(); }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override { return 1; }
-  [[nodiscard]] const hamming_secded& code() const { return code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -195,12 +186,33 @@ class secded_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
+                           std::vector<std::uint32_t>& out) const override;
+};
+
+/// Classical SECDED ECC on the whole word — H(39,32) for 32-bit data.
+class secded_scheme final : public protection_scheme {
+ public:
+  explicit secded_scheme(unsigned width = 32);
+
+  [[nodiscard]] const hamming_secded& code() const { return code_; }
+  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
+                    std::span<word_t> out) const override;
+  block_decode_stats decode_block(std::uint32_t first_row,
+                                  std::span<const word_t> stored,
+                                  std::span<word_t> out) const override;
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override;
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override;
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
+  explicit secded_scheme(hamming_secded code);
+
   hamming_secded code_;
 };
 
@@ -214,13 +226,7 @@ class hsiao_scheme final : public protection_scheme {
   explicit hsiao_scheme(unsigned width = 32, unsigned check_bits = 0);
   explicit hsiao_scheme(std::shared_ptr<const hsiao_code> code);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return code_->data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return code_->codeword_bits(); }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override { return 1; }
   [[nodiscard]] const hsiao_code& code() const { return *code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -230,9 +236,8 @@ class hsiao_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
@@ -247,15 +252,7 @@ class bch_scheme final : public protection_scheme {
   explicit bch_scheme(unsigned width = 32, unsigned t = 2);
   explicit bch_scheme(std::shared_ptr<const bch_code> code);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return code_->data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return code_->codeword_bits(); }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override {
-    return code_->t();
-  }
   [[nodiscard]] const bch_code& code() const { return *code_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -265,9 +262,8 @@ class bch_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
@@ -279,12 +275,7 @@ class pecc_scheme final : public protection_scheme {
  public:
   explicit pecc_scheme(unsigned width = 32, unsigned protected_bits = 16);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return codec_.word_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return codec_.storage_bits(); }
   [[nodiscard]] const priority_ecc& codec() const { return codec_; }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -294,38 +285,38 @@ class pecc_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
+  explicit pecc_scheme(priority_ecc codec);
+
   priority_ecc codec_;
 };
 
-/// The proposed significance-driven bit-shuffling scheme.
+/// The proposed significance-driven bit-shuffling scheme. Its reference
+/// codecs are the scalar LUT walk (shuffle_scheme::apply_write /
+/// restore_read); the block codecs run over the precomputed shift table.
 class shuffle_protection final : public protection_scheme {
  public:
   shuffle_protection(std::uint32_t rows, unsigned width, unsigned n_fm,
                      shift_policy policy = shift_policy::min_mse);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return impl_.shuffler().width(); }
-  [[nodiscard]] unsigned storage_bits() const override { return impl_.shuffler().width(); }
-  [[nodiscard]] unsigned lut_bits_per_row() const override { return impl_.shuffler().n_fm(); }
   [[nodiscard]] const shuffle_scheme& impl() const { return impl_; }
   [[nodiscard]] shuffle_scheme& impl() { return impl_; }
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
                                   std::span<const word_t> stored,
                                   std::span<word_t> out) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override;
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override;
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:

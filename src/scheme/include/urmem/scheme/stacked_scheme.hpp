@@ -39,15 +39,7 @@ class stacked_scheme final : public protection_scheme {
                  ecc_stage ecc, shift_policy policy = shift_policy::min_mse,
                  unsigned protected_bits = 16);
 
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return shuffle_.data_bits(); }
-  [[nodiscard]] unsigned storage_bits() const override { return ecc_->storage_bits(); }
-  [[nodiscard]] unsigned lut_bits_per_row() const override {
-    return shuffle_.lut_bits_per_row();
-  }
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -57,12 +49,14 @@ class stacked_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
 
  private:
+  stacked_scheme(std::uint32_t rows, unsigned width, unsigned n_fm,
+                 shift_policy policy, std::unique_ptr<protection_scheme> ecc);
+
   std::uint32_t rows_;
   shuffle_protection shuffle_;               // pre-stage over the data word
   std::unique_ptr<protection_scheme> ecc_;   // secded_scheme or pecc_scheme

@@ -41,14 +41,10 @@ class tiered_scheme final : public protection_scheme {
   /// data_bits(). `storage_bits_hint` pins the stored width when the
   /// widest tier of the full design is not instantiated here (probe
   /// instances clamped to a smaller row count); 0 = max over `tiers`.
+  /// lut_bits_per_row() is the max over tiers: the side-table column
+  /// count the tile manufactures.
   explicit tiered_scheme(std::vector<tier> tiers,
                          unsigned storage_bits_hint = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] unsigned data_bits() const override { return data_bits_; }
-  [[nodiscard]] unsigned storage_bits() const override { return storage_bits_; }
-  /// Max over tiers: the side-table column count the tile manufactures.
-  [[nodiscard]] unsigned lut_bits_per_row() const override;
 
   [[nodiscard]] std::size_t tier_count() const { return tiers_.size(); }
   [[nodiscard]] const tier& tier_at(std::size_t i) const { return tiers_[i]; }
@@ -56,8 +52,6 @@ class tiered_scheme final : public protection_scheme {
   [[nodiscard]] std::size_t tier_of(std::uint32_t row) const;
 
   void configure(const fault_map& faults) override;
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override;
-  [[nodiscard]] read_result decode(std::uint32_t row, word_t stored) const override;
   void encode_block(std::uint32_t first_row, std::span<const word_t> data,
                     std::span<word_t> out) const override;
   block_decode_stats decode_block(std::uint32_t first_row,
@@ -67,19 +61,11 @@ class tiered_scheme final : public protection_scheme {
                                         word_t data) const override;
   [[nodiscard]] read_result decode_reference(std::uint32_t row,
                                              word_t stored) const override;
-
-  /// Row-agnostic worst case = the most expensive tier for these
-  /// columns (the residual bits are that tier's). Prefer the *_at
-  /// variants, which charge the row's actual tier.
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  /// The residual of the tier owning `row`, over the columns that tier
+  /// stores.
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override;
-  [[nodiscard]] double worst_case_row_cost_at(
-      std::uint32_t row, std::span<const std::uint32_t> fault_cols) const override;
-  void residual_fault_bits_at(std::uint32_t row,
-                              std::span<const std::uint32_t> fault_cols,
-                              std::vector<std::uint32_t>& out) const override;
 
  private:
   /// Columns the tier actually stores (drops the surplus columns a
@@ -89,8 +75,6 @@ class tiered_scheme final : public protection_scheme {
       std::vector<std::uint32_t>& scratch);
 
   std::vector<tier> tiers_;
-  unsigned data_bits_ = 0;
-  unsigned storage_bits_ = 0;
 };
 
 }  // namespace urmem

@@ -21,52 +21,117 @@ void check_block_spans(std::size_t in, std::size_t out) {
   expects(in == out, "block output span must match the input length");
 }
 
-}  // namespace
-
-void protection_scheme::configure(const fault_map& /*faults*/) {}
-
-void protection_scheme::encode_block(std::uint32_t first_row,
-                                     std::span<const word_t> data,
-                                     std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    out[i] = encode(first_row + static_cast<std::uint32_t>(i), data[i]);
+/// The data-column residual of a whole-word code correcting up to
+/// `correctable` faults: beyond that the decoder hands the raw data
+/// bits through, so every faulty *data* column corrupts its logical
+/// bit; check-column faults touch no data bit.
+template <class Code>
+void whole_word_residual(const Code& code, std::size_t correctable,
+                         std::span<const std::uint32_t> fault_cols,
+                         std::vector<std::uint32_t>& out) {
+  if (fault_cols.size() <= correctable) return;
+  for (const std::uint32_t col : fault_cols) {
+    const int bit = code.data_bit_at_column(col);
+    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
   }
 }
 
-block_decode_stats protection_scheme::decode_block(std::uint32_t first_row,
-                                                   std::span<const word_t> stored,
-                                                   std::span<word_t> out) const {
+/// Encodes/decodes a span word by word through a whole-word codec whose
+/// encode/decode inline to a few table lookups + XORs — the whole tile
+/// runs without a call, branch, or per-bit loop.
+template <class Code>
+void encode_words(const Code& code, std::span<const word_t> data,
+                  std::span<word_t> out) {
+  check_block_spans(data.size(), out.size());
+  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code.encode(data[i]);
+}
+
+template <class Code>
+block_decode_stats decode_words(const Code& code,
+                                std::span<const word_t> stored,
+                                std::span<word_t> out) {
   check_block_spans(stored.size(), out.size());
   block_decode_stats stats;
   for (std::size_t i = 0; i < stored.size(); ++i) {
-    const read_result r =
-        decode(first_row + static_cast<std::uint32_t>(i), stored[i]);
+    const ecc_decode_result r = code.decode(stored[i]);
     out[i] = r.data;
     stats.count(r.status);
   }
   return stats;
 }
 
+read_result as_read(const ecc_decode_result& r) { return {r.data, r.status}; }
+
+/// "family(n,k<qualifier>)", e.g. "H(39,32)" or "BCH(45,32,t=2)".
+std::string code_label(const std::string& family, unsigned codeword_bits,
+                       unsigned data_bits, const std::string& qualifier = "") {
+  return family + "(" + std::to_string(codeword_bits) + "," +
+         std::to_string(data_bits) + qualifier + ")";
+}
+
+/// Shape of a whole-word code guaranteed to correct `t` errors.
+template <class Code>
+scheme_shape whole_word_shape(const Code& code, const std::string& family,
+                              unsigned t, const std::string& qualifier = "") {
+  return {code_label(family, code.codeword_bits(), code.data_bits(),
+                     qualifier) +
+              " ECC",
+          code.data_bits(), code.codeword_bits(), 0, t};
+}
+
+template <class Code>
+const Code& checked_codec(const std::shared_ptr<const Code>& code,
+                          const char* what) {
+  expects(code != nullptr, what);
+  return *code;
+}
+
+}  // namespace
+
+void protection_scheme::configure(const fault_map& /*faults*/) {}
+
+word_t protection_scheme::encode(std::uint32_t row, word_t data) const {
+  word_t out = 0;
+  encode_block(row, std::span<const word_t>(&data, 1),
+               std::span<word_t>(&out, 1));
+  return out;
+}
+
+read_result protection_scheme::decode(std::uint32_t row, word_t stored) const {
+  word_t out = 0;
+  const block_decode_stats stats = decode_block(
+      row, std::span<const word_t>(&stored, 1), std::span<word_t>(&out, 1));
+  const ecc_status status = stats.uncorrectable != 0
+                                ? ecc_status::detected_uncorrectable
+                            : stats.corrected != 0 ? ecc_status::corrected
+                                                   : ecc_status::clean;
+  return {out, status};
+}
+
+double protection_scheme::worst_case_row_cost(
+    std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
+  // Hoisted scratch: the yield sweeps call this for every faulty row of
+  // millions of sampled maps.
+  static thread_local std::vector<std::uint32_t> bits;
+  bits.clear();
+  residual_fault_bits(row, fault_cols, bits);
+  double cost = 0.0;
+  for (const std::uint32_t bit : bits) cost += squared_bit_error(bit);
+  return cost;
+}
+
 // ---------------------------------------------------------------- none
 
-none_scheme::none_scheme(unsigned width) : width_(width) {
+none_scheme::none_scheme(unsigned width)
+    : protection_scheme({"no-correction", width, width}) {
   expects(is_valid_width(width), "word width must be 1..64");
-}
-
-word_t none_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return data & word_mask(width_);
-}
-
-read_result none_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  return {stored & word_mask(width_), ecc_status::clean};
 }
 
 void none_scheme::encode_block(std::uint32_t /*first_row*/,
                                std::span<const word_t> data,
                                std::span<word_t> out) const {
   check_block_spans(data.size(), out.size());
-  const word_t mask = word_mask(width_);
+  const word_t mask = word_mask(data_bits());
   for (std::size_t i = 0; i < data.size(); ++i) out[i] = data[i] & mask;
 }
 
@@ -74,61 +139,45 @@ block_decode_stats none_scheme::decode_block(std::uint32_t /*first_row*/,
                                              std::span<const word_t> stored,
                                              std::span<word_t> out) const {
   check_block_spans(stored.size(), out.size());
-  const word_t mask = word_mask(width_);
+  const word_t mask = word_mask(data_bits());
   for (std::size_t i = 0; i < stored.size(); ++i) out[i] = stored[i] & mask;
   return {};
 }
 
-double none_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) cost += squared_bit_error(col);
-  return cost;
+word_t none_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
+  return data & word_mask(data_bits());
 }
 
-void none_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+read_result none_scheme::decode_reference(std::uint32_t /*row*/,
+                                          word_t stored) const {
+  return {stored & word_mask(data_bits()), ecc_status::clean};
+}
+
+void none_scheme::residual_fault_bits(std::uint32_t /*row*/,
+                                      std::span<const std::uint32_t> fault_cols,
                                       std::vector<std::uint32_t>& out) const {
   out.insert(out.end(), fault_cols.begin(), fault_cols.end());
 }
 
 // -------------------------------------------------------------- secded
 
-secded_scheme::secded_scheme(unsigned width) : code_(width) {}
+secded_scheme::secded_scheme(unsigned width)
+    : secded_scheme(hamming_secded(width)) {}
 
-std::string secded_scheme::name() const {
-  return "H(" + std::to_string(code_.codeword_bits()) + "," +
-         std::to_string(code_.data_bits()) + ") ECC";
-}
-
-word_t secded_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_.encode(data);
-}
-
-read_result secded_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_.decode(stored);
-  return {r.data, r.status};
-}
+secded_scheme::secded_scheme(hamming_secded code)
+    : protection_scheme(whole_word_shape(code, "H", 1)),
+      code_(std::move(code)) {}
 
 void secded_scheme::encode_block(std::uint32_t /*first_row*/,
                                  std::span<const word_t> data,
                                  std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  // code_.encode inlines to a few table lookups + XORs per word — the
-  // whole tile encodes without a call, branch, or per-bit loop.
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code_.encode(data[i]);
+  encode_words(code_, data, out);
 }
 
 block_decode_stats secded_scheme::decode_block(std::uint32_t /*first_row*/,
                                                std::span<const word_t> stored,
                                                std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = code_.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
+  return decode_words(code_, stored, out);
 }
 
 word_t secded_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
@@ -137,77 +186,35 @@ word_t secded_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const
 
 read_result secded_scheme::decode_reference(std::uint32_t /*row*/,
                                             word_t stored) const {
-  const ecc_decode_result r = code_.decode_reference(stored);
-  return {r.data, r.status};
+  return as_read(code_.decode_reference(stored));
 }
 
-double secded_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.size() <= 1) return 0.0;  // single error always corrected
-  // Multiple faults: detected but uncorrectable — the decoder hands the
-  // raw data bits through, so every faulty *data* column corrupts its
-  // logical bit. Check-column faults do not touch data bits.
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_.data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void secded_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                        std::vector<std::uint32_t>& out) const {
-  if (fault_cols.size() <= 1) return;  // single error always corrected
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_.data_bit_at_column(col);
-    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
-  }
+void secded_scheme::residual_fault_bits(
+    std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols,
+    std::vector<std::uint32_t>& out) const {
+  whole_word_residual(code_, 1, fault_cols, out);  // single errors corrected
 }
 
 // --------------------------------------------------------------- hsiao
 
 hsiao_scheme::hsiao_scheme(unsigned width, unsigned check_bits)
-    : code_(std::make_shared<const hsiao_code>(width, check_bits)) {}
+    : hsiao_scheme(std::make_shared<const hsiao_code>(width, check_bits)) {}
 
 hsiao_scheme::hsiao_scheme(std::shared_ptr<const hsiao_code> code)
-    : code_(std::move(code)) {
-  expects(code_ != nullptr, "hsiao_scheme needs a codec");
-}
-
-std::string hsiao_scheme::name() const {
-  return "Hsiao(" + std::to_string(code_->codeword_bits()) + "," +
-         std::to_string(code_->data_bits()) + ") ECC";
-}
-
-word_t hsiao_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_->encode(data);
-}
-
-read_result hsiao_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_->decode(stored);
-  return {r.data, r.status};
-}
+    : protection_scheme(whole_word_shape(
+          checked_codec(code, "hsiao_scheme needs a codec"), "Hsiao", 1)),
+      code_(std::move(code)) {}
 
 void hsiao_scheme::encode_block(std::uint32_t /*first_row*/,
                                 std::span<const word_t> data,
                                 std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  const hsiao_code& code = *code_;
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code.encode(data[i]);
+  encode_words(*code_, data, out);
 }
 
 block_decode_stats hsiao_scheme::decode_block(std::uint32_t /*first_row*/,
                                               std::span<const word_t> stored,
                                               std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  const hsiao_code& code = *code_;
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = code.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
+  return decode_words(*code_, stored, out);
 }
 
 word_t hsiao_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
@@ -216,78 +223,38 @@ word_t hsiao_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const 
 
 read_result hsiao_scheme::decode_reference(std::uint32_t /*row*/,
                                            word_t stored) const {
-  const ecc_decode_result r = code_->decode_reference(stored);
-  return {r.data, r.status};
+  return as_read(code_->decode_reference(stored));
 }
 
-double hsiao_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.size() <= 1) return 0.0;  // single error always corrected
-  // Multiple faults: detected but uncorrectable — the decoder hands the
-  // raw data bits through, so every faulty *data* column corrupts its
-  // logical bit (the identity layout makes bit == column).
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void hsiao_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                       std::vector<std::uint32_t>& out) const {
-  if (fault_cols.size() <= 1) return;  // single error always corrected
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
-  }
+void hsiao_scheme::residual_fault_bits(
+    std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols,
+    std::vector<std::uint32_t>& out) const {
+  // The identity layout makes bit == column for every data column.
+  whole_word_residual(*code_, 1, fault_cols, out);
 }
 
 // ----------------------------------------------------------------- bch
 
 bch_scheme::bch_scheme(unsigned width, unsigned t)
-    : code_(std::make_shared<const bch_code>(width, t)) {}
+    : bch_scheme(std::make_shared<const bch_code>(width, t)) {}
 
 bch_scheme::bch_scheme(std::shared_ptr<const bch_code> code)
-    : code_(std::move(code)) {
-  expects(code_ != nullptr, "bch_scheme needs a codec");
-}
-
-std::string bch_scheme::name() const {
-  return "BCH(" + std::to_string(code_->codeword_bits()) + "," +
-         std::to_string(code_->data_bits()) + ",t=" +
-         std::to_string(code_->t()) + ") ECC";
-}
-
-word_t bch_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return code_->encode(data);
-}
-
-read_result bch_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = code_->decode(stored);
-  return {r.data, r.status};
-}
+    : protection_scheme([&code] {
+        const bch_code& c = checked_codec(code, "bch_scheme needs a codec");
+        return whole_word_shape(c, "BCH", c.t(), ",t=" + std::to_string(c.t()));
+      }()),
+      code_(std::move(code)) {}
 
 void bch_scheme::encode_block(std::uint32_t /*first_row*/,
                               std::span<const word_t> data,
                               std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  const bch_code& code = *code_;
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = code.encode(data[i]);
+  encode_words(*code_, data, out);
 }
 
 block_decode_stats bch_scheme::decode_block(std::uint32_t /*first_row*/,
                                             std::span<const word_t> stored,
                                             std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  const bch_code& code = *code_;
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = code.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
+  return decode_words(*code_, stored, out);
 }
 
 word_t bch_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
@@ -296,72 +263,41 @@ word_t bch_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
 
 read_result bch_scheme::decode_reference(std::uint32_t /*row*/,
                                          word_t stored) const {
-  const ecc_decode_result r = code_->decode_reference(stored);
-  return {r.data, r.status};
+  return as_read(code_->decode_reference(stored));
 }
 
-double bch_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
+void bch_scheme::residual_fault_bits(std::uint32_t /*row*/,
+                                     std::span<const std::uint32_t> fault_cols,
+                                     std::vector<std::uint32_t>& out) const {
   // Up to t faults are corrected wherever they land. Beyond that the
   // parity extension guarantees detection (never miscorrection) at
-  // t+1 faults, so the raw-pass-through model below is *exact* there —
+  // t+1 faults, so the raw-pass-through model is *exact* there —
   // urmem-verify proves this by enumeration.
-  if (fault_cols.size() <= code_->t()) return 0.0;
-  double cost = 0.0;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-  }
-  return cost;
-}
-
-void bch_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                     std::vector<std::uint32_t>& out) const {
-  if (fault_cols.size() <= code_->t()) return;
-  for (const std::uint32_t col : fault_cols) {
-    const int bit = code_->data_bit_at_column(col);
-    if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
-  }
+  whole_word_residual(*code_, code_->t(), fault_cols, out);
 }
 
 // ---------------------------------------------------------------- pecc
 
 pecc_scheme::pecc_scheme(unsigned width, unsigned protected_bits)
-    : codec_(width, protected_bits) {}
+    : pecc_scheme(priority_ecc(width, protected_bits)) {}
 
-std::string pecc_scheme::name() const {
-  const auto& inner = codec_.inner_code();
-  return "H(" + std::to_string(inner.codeword_bits()) + "," +
-         std::to_string(inner.data_bits()) + ") P-ECC";
-}
-
-word_t pecc_scheme::encode(std::uint32_t /*row*/, word_t data) const {
-  return codec_.encode(data);
-}
-
-read_result pecc_scheme::decode(std::uint32_t /*row*/, word_t stored) const {
-  const ecc_decode_result r = codec_.decode(stored);
-  return {r.data, r.status};
-}
+pecc_scheme::pecc_scheme(priority_ecc codec)
+    : protection_scheme({code_label("H", codec.inner_code().codeword_bits(),
+                                    codec.inner_code().data_bits()) +
+                             " P-ECC",
+                         codec.word_bits(), codec.storage_bits()}),
+      codec_(std::move(codec)) {}
 
 void pecc_scheme::encode_block(std::uint32_t /*first_row*/,
                                std::span<const word_t> data,
                                std::span<word_t> out) const {
-  check_block_spans(data.size(), out.size());
-  for (std::size_t i = 0; i < data.size(); ++i) out[i] = codec_.encode(data[i]);
+  encode_words(codec_, data, out);
 }
 
 block_decode_stats pecc_scheme::decode_block(std::uint32_t /*first_row*/,
                                              std::span<const word_t> stored,
                                              std::span<word_t> out) const {
-  check_block_spans(stored.size(), out.size());
-  block_decode_stats stats;
-  for (std::size_t i = 0; i < stored.size(); ++i) {
-    const ecc_decode_result r = codec_.decode(stored[i]);
-    out[i] = r.data;
-    stats.count(r.status);
-  }
-  return stats;
+  return decode_words(codec_, stored, out);
 }
 
 word_t pecc_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
@@ -370,31 +306,11 @@ word_t pecc_scheme::encode_reference(std::uint32_t /*row*/, word_t data) const {
 
 read_result pecc_scheme::decode_reference(std::uint32_t /*row*/,
                                           word_t stored) const {
-  const ecc_decode_result r = codec_.decode_reference(stored);
-  return {r.data, r.status};
+  return as_read(codec_.decode_reference(stored));
 }
 
-double pecc_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  double cost = 0.0;
-  std::size_t protected_faults = 0;
-  for (const std::uint32_t col : fault_cols) {
-    if (codec_.is_protected_column(col)) ++protected_faults;
-  }
-  for (const std::uint32_t col : fault_cols) {
-    if (codec_.is_protected_column(col)) {
-      if (protected_faults <= 1) continue;  // corrected by the inner code
-      const int bit = codec_.data_bit_at_column(col);
-      if (bit >= 0) cost += squared_bit_error(static_cast<unsigned>(bit));
-    } else {
-      // Unprotected low-order bit: error magnitude 2^col, col < u.
-      cost += squared_bit_error(col);
-    }
-  }
-  return cost;
-}
-
-void pecc_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+void pecc_scheme::residual_fault_bits(std::uint32_t /*row*/,
+                                      std::span<const std::uint32_t> fault_cols,
                                       std::vector<std::uint32_t>& out) const {
   std::size_t protected_faults = 0;
   for (const std::uint32_t col : fault_cols) {
@@ -406,6 +322,7 @@ void pecc_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
       const int bit = codec_.data_bit_at_column(col);
       if (bit >= 0) out.push_back(static_cast<std::uint32_t>(bit));
     } else {
+      // Unprotected low-order bit: error magnitude 2^col, col < u.
       out.push_back(col);
     }
   }
@@ -415,21 +332,11 @@ void pecc_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
 
 shuffle_protection::shuffle_protection(std::uint32_t rows, unsigned width,
                                        unsigned n_fm, shift_policy policy)
-    : impl_(rows, width, n_fm, policy), policy_(policy) {}
-
-std::string shuffle_protection::name() const {
-  return "nFM=" + std::to_string(impl_.shuffler().n_fm());
-}
+    : protection_scheme({"nFM=" + std::to_string(n_fm), width, width, n_fm}),
+      impl_(rows, width, n_fm, policy),
+      policy_(policy) {}
 
 void shuffle_protection::configure(const fault_map& faults) { impl_.program(faults); }
-
-word_t shuffle_protection::encode(std::uint32_t row, word_t data) const {
-  return impl_.apply_write(row, data);
-}
-
-read_result shuffle_protection::decode(std::uint32_t row, word_t stored) const {
-  return {impl_.restore_read(row, stored), ecc_status::clean};
-}
 
 void shuffle_protection::encode_block(std::uint32_t first_row,
                                       std::span<const word_t> data,
@@ -444,15 +351,18 @@ block_decode_stats shuffle_protection::decode_block(std::uint32_t first_row,
   return {};  // shuffling neither corrects nor detects — always clean
 }
 
-double shuffle_protection::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.empty()) return 0.0;
-  const unsigned xfm = choose_xfm(impl_.shuffler(), fault_cols, policy_);
-  return shift_cost(impl_.shuffler(), fault_cols, xfm);
+word_t shuffle_protection::encode_reference(std::uint32_t row,
+                                            word_t data) const {
+  return impl_.apply_write(row, data);
+}
+
+read_result shuffle_protection::decode_reference(std::uint32_t row,
+                                                 word_t stored) const {
+  return {impl_.restore_read(row, stored), ecc_status::clean};
 }
 
 void shuffle_protection::residual_fault_bits(
-    std::span<const std::uint32_t> fault_cols,
+    std::uint32_t /*row*/, std::span<const std::uint32_t> fault_cols,
     std::vector<std::uint32_t>& out) const {
   if (fault_cols.empty()) return;
   const unsigned xfm = choose_xfm(impl_.shuffler(), fault_cols, policy_);

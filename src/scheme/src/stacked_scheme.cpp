@@ -16,18 +16,22 @@ std::unique_ptr<protection_scheme> make_ecc_stage(
 
 }  // namespace
 
-stacked_scheme::stacked_scheme(std::uint32_t rows, unsigned width, unsigned n_fm,
-                               ecc_stage ecc, shift_policy policy,
-                               unsigned protected_bits)
-    : rows_(rows),
+stacked_scheme::stacked_scheme(std::uint32_t rows, unsigned width,
+                               unsigned n_fm, ecc_stage ecc,
+                               shift_policy policy, unsigned protected_bits)
+    : stacked_scheme(rows, width, n_fm, policy,
+                     make_ecc_stage(width, ecc, protected_bits)) {}
+
+stacked_scheme::stacked_scheme(std::uint32_t rows, unsigned width,
+                               unsigned n_fm, shift_policy policy,
+                               std::unique_ptr<protection_scheme> ecc)
+    : protection_scheme({"nFM=" + std::to_string(n_fm) + "+" + ecc->name(),
+                         width, ecc->storage_bits(), n_fm}),
+      rows_(rows),
       shuffle_(rows, width, n_fm, policy),
-      ecc_(make_ecc_stage(width, ecc, protected_bits)) {
+      ecc_(std::move(ecc)) {
   ensures(ecc_->data_bits() == shuffle_.storage_bits(),
           "stacked stages must agree on the word width");
-}
-
-std::string stacked_scheme::name() const {
-  return shuffle_.name() + "+" + ecc_->name();
 }
 
 void stacked_scheme::configure(const fault_map& faults) {
@@ -44,21 +48,12 @@ void stacked_scheme::configure(const fault_map& faults) {
     cols.clear();
     residual.clear();
     for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    ecc_->residual_fault_bits(cols, residual);
+    ecc_->residual_fault_bits(row, cols, residual);
     for (const std::uint32_t bit : residual) {
       mapped.add({row, bit, fault_kind::flip});
     }
   }
   shuffle_.configure(mapped);
-}
-
-word_t stacked_scheme::encode(std::uint32_t row, word_t data) const {
-  return ecc_->encode(row, shuffle_.encode(row, data));
-}
-
-read_result stacked_scheme::decode(std::uint32_t row, word_t stored) const {
-  const read_result ecc = ecc_->decode(row, stored);
-  return {shuffle_.decode(row, ecc.data).data, ecc.status};
 }
 
 void stacked_scheme::encode_block(std::uint32_t first_row,
@@ -88,19 +83,12 @@ read_result stacked_scheme::decode_reference(std::uint32_t row,
   return {shuffle_.decode_reference(row, ecc.data).data, ecc.status};
 }
 
-double stacked_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  if (fault_cols.empty()) return 0.0;
+void stacked_scheme::residual_fault_bits(
+    std::uint32_t row, std::span<const std::uint32_t> fault_cols,
+    std::vector<std::uint32_t>& out) const {
   std::vector<std::uint32_t> residual;
-  ecc_->residual_fault_bits(fault_cols, residual);
-  return shuffle_.worst_case_row_cost(residual);
-}
-
-void stacked_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                         std::vector<std::uint32_t>& out) const {
-  std::vector<std::uint32_t> residual;
-  ecc_->residual_fault_bits(fault_cols, residual);
-  shuffle_.residual_fault_bits(residual, out);
+  ecc_->residual_fault_bits(row, fault_cols, residual);
+  shuffle_.residual_fault_bits(row, residual, out);
 }
 
 std::unique_ptr<protection_scheme> make_scheme_stacked(

@@ -7,42 +7,47 @@
 
 namespace urmem {
 
-tiered_scheme::tiered_scheme(std::vector<tier> tiers, unsigned storage_bits_hint)
-    : tiers_(std::move(tiers)) {
-  expects(!tiers_.empty(), "tiered scheme needs at least one tier");
+namespace {
+
+/// Validates the tier list and derives the composite's fixed shape.
+scheme_shape tiered_shape(const std::vector<tiered_scheme::tier>& tiers,
+                          unsigned storage_bits_hint) {
+  expects(!tiers.empty(), "tiered scheme needs at least one tier");
+  scheme_shape shape;
+  shape.name = "tiered[";
   std::uint32_t next = 0;
-  for (const tier& t : tiers_) {
+  for (const tiered_scheme::tier& t : tiers) {
     expects(t.scheme != nullptr, "tier scheme must not be null");
     expects(t.first_row == next,
             "tiers must be ordered and contiguous from row 0");
     expects(t.last_row >= t.first_row, "tier range must be ascending");
-    expects(t.scheme->data_bits() == tiers_.front().scheme->data_bits(),
+    if (next == 0) {
+      shape.data_bits = t.scheme->data_bits();
+    } else {
+      shape.name += "|";
+    }
+    expects(t.scheme->data_bits() == shape.data_bits,
             "tiers must agree on the data word width");
-    storage_bits_ = std::max(storage_bits_, t.scheme->storage_bits());
+    shape.name += std::to_string(t.first_row) + "-" +
+                  std::to_string(t.last_row) + ":" + t.scheme->name();
+    shape.storage_bits = std::max(shape.storage_bits, t.scheme->storage_bits());
+    shape.lut_bits_per_row =
+        std::max(shape.lut_bits_per_row, t.scheme->lut_bits_per_row());
     next = t.last_row + 1;
   }
-  data_bits_ = tiers_.front().scheme->data_bits();
+  shape.name += "]";
   // A probe instance clamped to fewer rows may have dropped the widest
   // tier; the hint keeps its geometry that of the full design.
-  storage_bits_ = std::max(storage_bits_, storage_bits_hint);
+  shape.storage_bits = std::max(shape.storage_bits, storage_bits_hint);
+  return shape;
 }
 
-std::string tiered_scheme::name() const {
-  std::string label = "tiered[";
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    if (i != 0) label += "|";
-    label += std::to_string(tiers_[i].first_row) + "-" +
-             std::to_string(tiers_[i].last_row) + ":" +
-             tiers_[i].scheme->name();
-  }
-  return label + "]";
-}
+}  // namespace
 
-unsigned tiered_scheme::lut_bits_per_row() const {
-  unsigned bits = 0;
-  for (const tier& t : tiers_) bits = std::max(bits, t.scheme->lut_bits_per_row());
-  return bits;
-}
+tiered_scheme::tiered_scheme(std::vector<tier> tiers,
+                             unsigned storage_bits_hint)
+    : protection_scheme(tiered_shape(tiers, storage_bits_hint)),
+      tiers_(std::move(tiers)) {}
 
 std::size_t tiered_scheme::tier_of(std::uint32_t row) const {
   expects(row <= tiers_.back().last_row, "row beyond the tiered range");
@@ -74,17 +79,6 @@ void tiered_scheme::configure(const fault_map& faults) {
     }
     t.scheme->configure(sub);
   }
-}
-
-word_t tiered_scheme::encode(std::uint32_t row, word_t data) const {
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->encode(row - t.first_row, data);
-}
-
-read_result tiered_scheme::decode(std::uint32_t row, word_t stored) const {
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->decode(row - t.first_row,
-                          stored & word_mask(t.scheme->storage_bits()));
 }
 
 void tiered_scheme::encode_block(std::uint32_t first_row,
@@ -155,49 +149,13 @@ std::span<const std::uint32_t> tiered_scheme::clip_cols(
   return scratch;
 }
 
-double tiered_scheme::worst_case_row_cost_at(
-    std::uint32_t row, std::span<const std::uint32_t> fault_cols) const {
-  static thread_local std::vector<std::uint32_t> scratch;
-  const tier& t = tiers_[tier_of(row)];
-  return t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch));
-}
-
-void tiered_scheme::residual_fault_bits_at(
+void tiered_scheme::residual_fault_bits(
     std::uint32_t row, std::span<const std::uint32_t> fault_cols,
     std::vector<std::uint32_t>& out) const {
   static thread_local std::vector<std::uint32_t> scratch;
   const tier& t = tiers_[tier_of(row)];
-  t.scheme->residual_fault_bits(clip_cols(t, fault_cols, scratch), out);
-}
-
-double tiered_scheme::worst_case_row_cost(
-    std::span<const std::uint32_t> fault_cols) const {
-  static thread_local std::vector<std::uint32_t> scratch;
-  double worst = 0.0;
-  for (const tier& t : tiers_) {
-    worst = std::max(
-        worst, t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch)));
-  }
-  return worst;
-}
-
-void tiered_scheme::residual_fault_bits(std::span<const std::uint32_t> fault_cols,
-                                        std::vector<std::uint32_t>& out) const {
-  // Mirror worst_case_row_cost: report the residual of the worst tier,
-  // so cost == sum_i 4^{b_i} over the returned bits holds here too.
-  static thread_local std::vector<std::uint32_t> scratch;
-  const tier* worst_tier = &tiers_.front();
-  double worst = -1.0;
-  for (const tier& t : tiers_) {
-    const double cost =
-        t.scheme->worst_case_row_cost(clip_cols(t, fault_cols, scratch));
-    if (cost > worst) {
-      worst = cost;
-      worst_tier = &t;
-    }
-  }
-  worst_tier->scheme->residual_fault_bits(
-      clip_cols(*worst_tier, fault_cols, scratch), out);
+  t.scheme->residual_fault_bits(row - t.first_row,
+                                clip_cols(t, fault_cols, scratch), out);
 }
 
 }  // namespace urmem

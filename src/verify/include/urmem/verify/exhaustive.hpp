@@ -5,17 +5,19 @@
 // guaranteed correction strength plus one) and prove, pattern by
 // pattern, the properties the rest of the repo merely samples:
 //
-//   * block == scalar == reference bit-identity, data and status, for
-//     encode and decode;
+//   * block == reference bit-identity, data and status, for encode and
+//     decode — both the tile-wide block call and the one-element block
+//     call behind scalar encode()/decode();
 //   * corrected / detected_uncorrectable classification: <= t-bit
 //     patterns decode back to the written data, (t+1)-bit patterns are
 //     flagged and never miscorrected (for schemes advertising a
 //     guarantee via guaranteed_correctable_bits());
-//   * the analytic residual model is *exact*: decoded ^ data equals the
-//     bit set residual_fault_bits() predicts for every enumerated data
-//     word, and worst_case_row_cost()/worst_case_row_cost_at() equal
-//     sum 4^b over exactly those bits — so analytic_mse matches the
-//     enumerated truth, not just an upper bound.
+//   * the analytic residual model is *exact*, row by row: decoded ^ data
+//     equals the bit set residual_fault_bits(row, ...) predicts for that
+//     very row (tiered schemes route rows to different tiers), for every
+//     enumerated data word, and the derived worst_case_row_cost(row, ...)
+//     equals sum 4^b over exactly those bits — so analytic_mse matches
+//     the enumerated truth, not just an upper bound.
 //
 // Patterns are enumerated by unranking trial indices through the
 // combinatorial number system (the mat_ecc_ram-style nCr walk), which

@@ -148,39 +148,35 @@ exhaustive_report verify_scheme_exhaustive(const std::string& label,
         }
         scheme->configure(faults);
 
-        // The analytic residual model, checked for internal consistency
-        // (cost hooks == sum 4^b over exactly the residual bits).
+        // The analytic residual model of every row the block calls below
+        // decode: distinct data bits, and the derived Eq. (6) cost equal
+        // to sum 4^b over exactly those bits. Each row keeps its own
+        // mask, so row-routed schemes (tiered) are checked per tier.
+        std::vector<word_t> residual_masks(rows);
         std::vector<std::uint32_t> residual;
-        scheme->residual_fault_bits(cols, residual);
-        word_t residual_mask = 0;
-        double residual_cost = 0.0;
-        for (const std::uint32_t b : residual) {
-          if (b >= data_bits) {
-            fail(cols, "residual bit " + std::to_string(b) +
-                           " outside the data word");
-            return outcome;
+        for (std::uint32_t row = 0; row < rows; ++row) {
+          const std::string row_text = std::to_string(row);
+          residual.clear();
+          scheme->residual_fault_bits(row, cols, residual);
+          word_t mask = 0;
+          double cost = 0.0;
+          for (const std::uint32_t b : residual) {
+            if (b >= data_bits) {
+              fail(cols, "residual_fault_bits(" + row_text + ") bit " +
+                             std::to_string(b) + " outside the data word");
+              return outcome;
+            }
+            mask |= word_t{1} << b;
+            cost += std::ldexp(1.0, 2 * static_cast<int>(b));
           }
-          residual_mask |= word_t{1} << b;
-          residual_cost += std::ldexp(1.0, 2 * static_cast<int>(b));
-        }
-        if (std::popcount(residual_mask) !=
-            static_cast<int>(residual.size())) {
-          fail(cols, "residual bits not distinct");
-        }
-        if (scheme->worst_case_row_cost(cols) != residual_cost) {
-          fail(cols, "worst_case_row_cost disagrees with residual bits");
-        }
-        for (const std::uint32_t row : {std::uint32_t{0}, rows - 1}) {
-          if (scheme->worst_case_row_cost_at(row, cols) != residual_cost) {
-            fail(cols, "worst_case_row_cost_at(" + std::to_string(row) +
+          if (std::popcount(mask) != static_cast<int>(residual.size())) {
+            fail(cols, "residual_fault_bits(" + row_text + ") not distinct");
+          }
+          if (scheme->worst_case_row_cost(row, cols) != cost) {
+            fail(cols, "worst_case_row_cost(" + row_text +
                            ") disagrees with residual bits");
           }
-          std::vector<std::uint32_t> at_bits;
-          scheme->residual_fault_bits_at(row, cols, at_bits);
-          if (at_bits != residual) {
-            fail(cols, "residual_fault_bits_at(" + std::to_string(row) +
-                           ") disagrees with the row-agnostic hook");
-          }
+          residual_masks[row] = mask;
         }
         const bool model_exact = k <= exact_bits;
 
@@ -210,6 +206,8 @@ exhaustive_report verify_scheme_exhaustive(const std::string& label,
           corrupted.resize(count);
           decoded.resize(count);
 
+          // The tile-wide block call, the one-element block call at the
+          // same row (scalar encode/decode) and the reference oracle.
           scheme->encode_block(0, chunk, encoded);
           for (std::size_t i = 0; i < count; ++i) {
             const auto row = static_cast<std::uint32_t>(i);
@@ -226,40 +224,40 @@ exhaustive_report verify_scheme_exhaustive(const std::string& label,
           block_decode_stats expected_stats;
           for (std::size_t i = 0; i < count; ++i) {
             const auto row = static_cast<std::uint32_t>(i);
-            const read_result scalar = scheme->decode(row, corrupted[i]);
+            const read_result single = scheme->decode(row, corrupted[i]);
             const read_result reference =
                 scheme->decode_reference(row, corrupted[i]);
-            expected_stats.count(scalar.status);
+            expected_stats.count(reference.status);
             ++outcome.decodes;
-            switch (scalar.status) {
+            switch (reference.status) {
               case ecc_status::clean: ++outcome.clean; break;
               case ecc_status::corrected: ++outcome.corrected; break;
               case ecc_status::detected_uncorrectable:
                 ++outcome.uncorrectable;
                 break;
             }
-            if (decoded[i] != scalar.data || scalar.data != reference.data ||
-                scalar.status != reference.status) {
+            if (decoded[i] != reference.data || single.data != reference.data ||
+                single.status != reference.status) {
               fail(cols, "decode paths disagree at data=" +
                              std::to_string(chunk[i]));
               continue;
             }
-            if (model_exact && decoded[i] != (chunk[i] ^ residual_mask)) {
+            if (model_exact && decoded[i] != (chunk[i] ^ residual_masks[i])) {
               fail(cols, "decoded word disagrees with the residual model at "
-                         "data=" +
+                         "row " + std::to_string(row) + ", data=" +
                              std::to_string(chunk[i]));
             }
-            if (k == 0 && scalar.status != ecc_status::clean) {
+            if (k == 0 && reference.status != ecc_status::clean) {
               fail(cols, "clean stored word not reported clean");
             }
             if (report.guaranteed_bits >= 1 && k >= 1) {
               if (k <= report.guaranteed_bits &&
-                  scalar.status != ecc_status::corrected) {
+                  reference.status != ecc_status::corrected) {
                 fail(cols, "pattern within the correction guarantee not "
                            "reported corrected");
               }
               if (k == report.guaranteed_bits + 1 &&
-                  scalar.status != ecc_status::detected_uncorrectable) {
+                  reference.status != ecc_status::detected_uncorrectable) {
                 fail(cols, "pattern one past the guarantee not reported "
                            "detected_uncorrectable");
               }
@@ -267,7 +265,8 @@ exhaustive_report verify_scheme_exhaustive(const std::string& label,
           }
           if (stats.corrected != expected_stats.corrected ||
               stats.uncorrectable != expected_stats.uncorrectable) {
-            fail(cols, "decode_block counters disagree with scalar statuses");
+            fail(cols,
+                 "decode_block counters disagree with reference statuses");
           }
         }
         return outcome;

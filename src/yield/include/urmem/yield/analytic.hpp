@@ -6,7 +6,8 @@
 // distributions serve two purposes: they cross-validate the stratified
 // sampler of mse_distribution.hpp (the n = 1 stratum must agree), and
 // they make the scheme's error profile inspectable (which columns cost
-// what).
+// what). They describe homogeneous schemes, charging every row as row
+// 0; a tiered scheme has one such distribution per tier.
 #pragma once
 
 #include <cstdint>

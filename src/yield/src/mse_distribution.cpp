@@ -57,8 +57,8 @@ double sample_mse(const protection_scheme& scheme,
       cols.push_back(static_cast<std::uint32_t>(cells[i] % geometry.width));
       ++i;
     }
-    total_cost += scheme.worst_case_row_cost_at(static_cast<std::uint32_t>(row),
-                                                cols);
+    total_cost +=
+        scheme.worst_case_row_cost(static_cast<std::uint32_t>(row), cols);
   }
   return total_cost / static_cast<double>(geometry.rows);
 }
@@ -103,7 +103,7 @@ double analytic_mse(const protection_scheme& scheme, const fault_map& faults) {
   for (const std::uint32_t row : faults.faulty_rows()) {
     cols.clear();
     for (const fault& f : faults.faults_in_row(row)) cols.push_back(f.col);
-    total += scheme.worst_case_row_cost_at(row, cols);
+    total += scheme.worst_case_row_cost(row, cols);
   }
   return total / static_cast<double>(faults.geometry().rows);
 }

@@ -1,11 +1,12 @@
 // Property tests for the compiled block-codec layer: one
 // encode_block/decode_block call must be bit-identical — data words and
-// decode statuses — to the per-word scalar path and to the per-bit
-// reference oracle, for every protection scheme type, across word
-// widths, random data, random BIST fault maps, and tile sizes
-// including 1, a non-multiple-of-the-array remainder, and the full
-// array. Also proves protected_memory's compiled and reference paths
-// end-to-end equal through a faulty array.
+// decode statuses — to the one-element block calls behind scalar
+// encode/decode and to the per-bit reference oracle, for every
+// protection scheme type, across word widths, random data, random BIST
+// fault maps, and tile sizes including 1, a non-multiple-of-the-array
+// remainder, and the full array. Also proves protected_memory's
+// compiled and reference paths end-to-end equal through a faulty array,
+// and that every protected_memory access takes the selected path.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -251,6 +252,98 @@ TEST(BlockCodecTest, ProtectedMemoryBlockPathMatchesReferencePath) {
             << c.label << " row=" << row;
       }
     }
+  }
+}
+
+/// Calls per codec path, shared between a counting_scheme and its test.
+struct codec_calls {
+  int block = 0;      ///< encode_block + decode_block
+  int reference = 0;  ///< encode_reference + decode_reference
+};
+
+/// Delegating wrapper that counts which codec path each access takes.
+class counting_scheme final : public protection_scheme {
+ public:
+  counting_scheme(std::unique_ptr<protection_scheme> inner, codec_calls& calls)
+      : protection_scheme(inner->shape()),
+        inner_(std::move(inner)),
+        calls_(calls) {}
+
+  void configure(const fault_map& faults) override {
+    inner_->configure(faults);
+  }
+  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
+                    std::span<word_t> out) const override {
+    ++calls_.block;
+    inner_->encode_block(first_row, data, out);
+  }
+  block_decode_stats decode_block(std::uint32_t first_row,
+                                  std::span<const word_t> stored,
+                                  std::span<word_t> out) const override {
+    ++calls_.block;
+    return inner_->decode_block(first_row, stored, out);
+  }
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override {
+    ++calls_.reference;
+    return inner_->encode_reference(row, data);
+  }
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override {
+    ++calls_.reference;
+    return inner_->decode_reference(row, stored);
+  }
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
+                           std::vector<std::uint32_t>& out) const override {
+    inner_->residual_fault_bits(row, fault_cols, out);
+  }
+
+ private:
+  std::unique_ptr<protection_scheme> inner_;
+  codec_calls& calls_;
+};
+
+/// Every protected_memory access — scalar store and readback, block
+/// store and readback, spare retirement and the raw-retry decode —
+/// runs the block codecs on the compiled path and only the reference
+/// codecs on the reference path.
+TEST(BlockCodecTest, ProtectedMemoryAccessesTakeTheSelectedCodecPath) {
+  constexpr std::uint32_t rows = 16;
+  for (const fault_path path : {fault_path::compiled, fault_path::reference}) {
+    const bool oracle = path == fault_path::reference;
+    codec_calls calls;
+    protected_memory memory(
+        rows, std::make_unique<counting_scheme>(make_scheme_secded(32), calls),
+        /*spare_rows=*/2);
+    memory.set_fault_path(path);
+    memory.set_fault_map(fault_map(memory.storage_geometry()));
+    const std::vector<word_t> data = random_words(77, rows, 32);
+
+    const auto expect_calls = [&](const char* access, int block,
+                                  int reference) {
+      EXPECT_EQ(calls.block, oracle ? 0 : block) << access;
+      EXPECT_EQ(calls.reference, oracle ? reference : 0) << access;
+      calls = {};
+    };
+    calls = {};
+    memory.write(3, data[3]);
+    expect_calls("write", 1, 1);
+    EXPECT_EQ(memory.read(3).data, data[3]);
+    expect_calls("read", 1, 1);
+    memory.write_block(0, data);
+    expect_calls("write_block", 1, rows);
+    std::vector<word_t> out(rows);
+    memory.read_block(0, out);
+    EXPECT_EQ(out, data);
+    expect_calls("read_block", 1, rows);
+    ASSERT_TRUE(memory.retire_row_to_region(5, 0, data[5]).has_value());
+    expect_calls("retire_row_to_region", 1, 1);
+    EXPECT_EQ(memory.read(5).data, data[5]);
+    expect_calls("read of a retired row", 1, 1);
+    EXPECT_EQ(memory.decode_stored(7, memory.raw_storage_word(7)).data,
+              data[7]);
+    expect_calls("decode_stored", 1, 1);
   }
 }
 

@@ -102,6 +102,31 @@ TEST(ExhaustiveVerify, AllSchemesAllNarrowWidths) {
   }
 }
 
+/// The composite shapes the registry ships: stacked shuffle+ECC and a
+/// tiered tile whose rows route to different tiers. The harness checks
+/// each decoded row against its own tier's residual model.
+TEST(ExhaustiveVerify, StackedAndTieredSchemesProveRowByRow) {
+  campaign_runner pool({.threads = 4, .seed = 42});
+  const std::vector<std::string> schemes = {
+      "shuffle+secded", "shuffle+pecc",
+      "tiered:0-3=secded:4-7=shuffle,nfm=1",
+      "tiered:0-3=bch,t=2:4-7=shuffle+pecc"};
+  for (const unsigned width : {4u, 8u, 16u}) {
+    for (const std::string& spec : schemes) {
+      const std::string label = spec + " @ w=" + std::to_string(width);
+      const exhaustive_report report = verify_scheme_exhaustive(
+          label, registry_factory(spec, width, 8), pool, {});
+      EXPECT_TRUE(report.ok()) << report.summary()
+                               << (report.failures.empty()
+                                       ? ""
+                                       : "\n  " + report.failures.front());
+      EXPECT_GT(report.decodes, 0u) << label;
+      EXPECT_GT(report.corrected, 0u) << label;
+      EXPECT_GT(report.uncorrectable, 0u) << label;
+    }
+  }
+}
+
 /// Deterministic at any thread count: same seed, same report counters.
 TEST(ExhaustiveVerify, ThreadCountInvariant) {
   campaign_runner serial({.threads = 1, .seed = 9});
@@ -123,27 +148,14 @@ TEST(ExhaustiveVerify, ThreadCountInvariant) {
 class sabotaged_scheme final : public protection_scheme {
  public:
   explicit sabotaged_scheme(std::unique_ptr<protection_scheme> inner)
-      : inner_(std::move(inner)) {}
+      : protection_scheme(inner->shape()), inner_(std::move(inner)) {}
 
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  [[nodiscard]] unsigned data_bits() const override {
-    return inner_->data_bits();
-  }
-  [[nodiscard]] unsigned storage_bits() const override {
-    return inner_->storage_bits();
-  }
-  [[nodiscard]] unsigned guaranteed_correctable_bits() const override {
-    return inner_->guaranteed_correctable_bits();
-  }
   void configure(const fault_map& faults) override {
     inner_->configure(faults);
   }
-  [[nodiscard]] word_t encode(std::uint32_t row, word_t data) const override {
-    return inner_->encode(row, data);
-  }
-  [[nodiscard]] read_result decode(std::uint32_t row,
-                                   word_t stored) const override {
-    return inner_->decode(row, stored);
+  void encode_block(std::uint32_t first_row, std::span<const word_t> data,
+                    std::span<word_t> out) const override {
+    inner_->encode_block(first_row, data, out);
   }
   block_decode_stats decode_block(std::uint32_t first_row,
                                   std::span<const word_t> stored,
@@ -153,13 +165,18 @@ class sabotaged_scheme final : public protection_scheme {
     if (!out.empty()) out[0] ^= 1;  // the sabotage
     return stats;
   }
-  [[nodiscard]] double worst_case_row_cost(
-      std::span<const std::uint32_t> fault_cols) const override {
-    return inner_->worst_case_row_cost(fault_cols);
+  [[nodiscard]] word_t encode_reference(std::uint32_t row,
+                                        word_t data) const override {
+    return inner_->encode_reference(row, data);
   }
-  void residual_fault_bits(std::span<const std::uint32_t> fault_cols,
+  [[nodiscard]] read_result decode_reference(std::uint32_t row,
+                                             word_t stored) const override {
+    return inner_->decode_reference(row, stored);
+  }
+  void residual_fault_bits(std::uint32_t row,
+                           std::span<const std::uint32_t> fault_cols,
                            std::vector<std::uint32_t>& out) const override {
-    inner_->residual_fault_bits(fault_cols, out);
+    inner_->residual_fault_bits(row, fault_cols, out);
   }
 
  private:

@@ -88,7 +88,8 @@ TEST_P(SchemeProperty, WorstCaseRowCostBoundsEmpiricalFlips) {
       for (unsigned bit = 0; bit < 32; ++bit) {
         if (get_bit(diff, bit)) empirical += std::ldexp(1.0, 2 * static_cast<int>(bit));
       }
-      const double predicted = memory.scheme().worst_case_row_cost(cols_of[row]);
+      const double predicted =
+          memory.scheme().worst_case_row_cost(row, cols_of[row]);
       EXPECT_LE(empirical, predicted + 1e-9)
           << c.name << " row=" << row << " trial=" << trial;
     }
@@ -126,10 +127,10 @@ TEST_P(SchemeProperty, RowCostMonotoneInFaults) {
     for (unsigned i = 0; i < start; ++i) {
       cols.push_back(static_cast<std::uint32_t>(gen.uniform_below(width)));
     }
-    double prev = scheme_instance->worst_case_row_cost(cols);
+    double prev = scheme_instance->worst_case_row_cost(0, cols);
     for (unsigned extra = 0; extra < 3; ++extra) {
       cols.push_back(static_cast<std::uint32_t>(gen.uniform_below(width)));
-      const double cur = scheme_instance->worst_case_row_cost(cols);
+      const double cur = scheme_instance->worst_case_row_cost(0, cols);
       EXPECT_GE(cur, prev - 1e-9) << c.name;
       prev = cur;
     }
@@ -147,9 +148,10 @@ TEST_P(SchemeProperty, RowCostPermutationInvariant) {
     for (int i = 0; i < 4; ++i) {
       cols.push_back(static_cast<std::uint32_t>(gen.uniform_below(width)));
     }
-    const double forward = scheme_instance->worst_case_row_cost(cols);
+    const double forward = scheme_instance->worst_case_row_cost(0, cols);
     std::reverse(cols.begin(), cols.end());
-    EXPECT_DOUBLE_EQ(scheme_instance->worst_case_row_cost(cols), forward) << c.name;
+    EXPECT_DOUBLE_EQ(scheme_instance->worst_case_row_cost(0, cols), forward)
+        << c.name;
   }
 }
 
@@ -198,7 +200,8 @@ TEST_P(SchemeProperty, BoundHoldsUnderMixedPhysicalFaultKinds) {
     for (unsigned bit = 0; bit < 32; ++bit) {
       if (get_bit(diff, bit)) empirical += std::ldexp(1.0, 2 * static_cast<int>(bit));
     }
-    EXPECT_LE(empirical, memory.scheme().worst_case_row_cost(cols_of[row]) + 1e-9)
+    EXPECT_LE(empirical,
+              memory.scheme().worst_case_row_cost(row, cols_of[row]) + 1e-9)
         << c.name << " row=" << row;
   }
 }

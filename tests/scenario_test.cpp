@@ -358,6 +358,19 @@ TEST(ScenarioSpec, SchemesOverrideKeepsTieredSubOptionsTogether) {
   EXPECT_EQ(recipe.display_name, "tiered[0-99:H(39,32) ECC|100-4095:nFM=2]");
 }
 
+TEST(ScenarioSpec, SchemeListSplitIsSharedByTheTools) {
+  // urmem-verify --schemes and urmem-run schemes= split the same way: a
+  // tiered entry keeps its comma-separated sub-scheme options.
+  EXPECT_EQ(split_scheme_list("tiered:0-3=secded:4-7=shuffle,nfm=1"),
+            std::vector<std::string>{"tiered:0-3=secded:4-7=shuffle,nfm=1"});
+  EXPECT_EQ(
+      split_scheme_list("none,tiered:0-3=secded,spare_rows=2:4-7=shuffle,"
+                        "nfm=1,shuffle:nfm=2,,pecc"),
+      (std::vector<std::string>{
+          "none", "tiered:0-3=secded,spare_rows=2:4-7=shuffle,nfm=1",
+          "shuffle:nfm=2", "pecc"}));
+}
+
 // ----------------------------------------------- fault operating point
 
 TEST(ScenarioSpec, PcellZeroIsAFaultFreePointNotUnset) {
@@ -630,10 +643,10 @@ TEST(StackedScheme, WorstCaseMatchesResidualBits) {
             gen.uniform_below(scheme.storage_bits())));
       }
       std::vector<std::uint32_t> bits;
-      scheme.residual_fault_bits(cols, bits);
+      scheme.residual_fault_bits(0, cols, bits);
       double expected = 0.0;
       for (const std::uint32_t b : bits) expected += std::ldexp(1.0, 2 * b);
-      EXPECT_DOUBLE_EQ(scheme.worst_case_row_cost(cols), expected);
+      EXPECT_DOUBLE_EQ(scheme.worst_case_row_cost(0, cols), expected);
     }
   };
   check(*make_scheme_none());

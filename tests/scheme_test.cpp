@@ -118,16 +118,16 @@ TEST(ProtectedMemoryTest, ShuffleReconfiguresOnFaultMapInstall) {
 TEST(RowCostTest, NoneSumsSquaredMagnitudes) {
   const auto scheme = make_scheme_none();
   const std::uint32_t cols[] = {0, 10, 31};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(cols),
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, cols),
                    1.0 + std::ldexp(1.0, 20) + std::ldexp(1.0, 62));
 }
 
 TEST(RowCostTest, SecdedZeroForSingleNonzeroForDouble) {
   const auto scheme = make_scheme_secded();
   const std::uint32_t one[] = {20};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(one), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, one), 0.0);
   const std::uint32_t two[] = {3, 20};  // both data columns
-  EXPECT_GT(scheme->worst_case_row_cost(two), 0.0);
+  EXPECT_GT(scheme->worst_case_row_cost(0, two), 0.0);
 }
 
 TEST(RowCostTest, SecdedCheckColumnsAreFree) {
@@ -135,17 +135,17 @@ TEST(RowCostTest, SecdedCheckColumnsAreFree) {
   // Columns 0,1,2,4 are check columns of H(39,32): even two faults
   // there leave the data bits untouched.
   const std::uint32_t checks[] = {0, 1};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(checks), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, checks), 0.0);
 }
 
 TEST(RowCostTest, PeccSplitsRegions) {
   const auto scheme = make_scheme_pecc();
   const std::uint32_t lsb[] = {5};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(lsb), std::ldexp(1.0, 10));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, lsb), std::ldexp(1.0, 10));
   const std::uint32_t msb_single[] = {25};
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(msb_single), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, msb_single), 0.0);
   const std::uint32_t mixed[] = {5, 25};  // LSB exposed, MSB corrected
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(mixed), std::ldexp(1.0, 10));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(0, mixed), std::ldexp(1.0, 10));
 }
 
 TEST(RowCostTest, PeccDoubleMsbFaultIsExpensive) {
@@ -157,7 +157,7 @@ TEST(RowCostTest, PeccDoubleMsbFaultIsExpensive) {
     if (codec.data_bit_at_column(col) >= 16) cols.push_back(col);
   }
   ASSERT_EQ(cols.size(), 2u);
-  EXPECT_GE(scheme->worst_case_row_cost(cols), std::ldexp(1.0, 32));
+  EXPECT_GE(scheme->worst_case_row_cost(0, cols), std::ldexp(1.0, 32));
 }
 
 TEST(RowCostTest, ShuffleBoundedBySegmentSize) {
@@ -166,7 +166,7 @@ TEST(RowCostTest, ShuffleBoundedBySegmentSize) {
     const unsigned segment = 32u >> n_fm;
     for (std::uint32_t col = 0; col < 32; ++col) {
       const std::uint32_t cols[] = {col};
-      EXPECT_LE(scheme->worst_case_row_cost(cols),
+      EXPECT_LE(scheme->worst_case_row_cost(0, cols),
                 std::ldexp(1.0, 2 * static_cast<int>(segment - 1)) + 1e-9);
     }
   }
@@ -176,9 +176,10 @@ TEST(RowCostTest, SchemeOrderingUnderSingleFault) {
   // For a single MSB fault: ECC = 0 <= shuffle(nFM=5) = 1 << pecc-LSB
   // cases << none.
   const std::uint32_t msb[] = {31};
-  EXPECT_DOUBLE_EQ(make_scheme_secded()->worst_case_row_cost(msb), 0.0);
-  EXPECT_DOUBLE_EQ(make_scheme_shuffle(4, 32, 5)->worst_case_row_cost(msb), 1.0);
-  EXPECT_DOUBLE_EQ(make_scheme_none()->worst_case_row_cost(msb),
+  EXPECT_DOUBLE_EQ(make_scheme_secded()->worst_case_row_cost(0, msb), 0.0);
+  EXPECT_DOUBLE_EQ(make_scheme_shuffle(4, 32, 5)->worst_case_row_cost(0, msb),
+                   1.0);
+  EXPECT_DOUBLE_EQ(make_scheme_none()->worst_case_row_cost(0, msb),
                    std::ldexp(1.0, 62));
 }
 

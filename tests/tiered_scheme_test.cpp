@@ -254,22 +254,25 @@ TEST(TieredScheme, RowAwareCostRoutesAndClipsColumns) {
 
   const std::vector<std::uint32_t> msb_pair{30, 31};
   // Row 5 lives in the SECDED tier, row 40 in the shuffle tier.
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost_at(5, msb_pair),
-                   secded->worst_case_row_cost(msb_pair));
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost_at(40, msb_pair),
-                   shuffle->worst_case_row_cost(msb_pair));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(5, msb_pair),
+                   secded->worst_case_row_cost(0, msb_pair));
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(40, msb_pair),
+                   shuffle->worst_case_row_cost(0, msb_pair));
   // Columns beyond a tier's own storage width belong to a wider
   // sibling's geometry and cost the narrow tier nothing (two faults, so
   // the ECC tier cannot correct them away either).
   const std::vector<std::uint32_t> ecc_cols{33, 38};
-  EXPECT_GT(scheme->worst_case_row_cost_at(5, ecc_cols), 0.0);
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost_at(40, ecc_cols), 0.0);
-  // The row-agnostic hook stays consistent with its residual bits.
-  std::vector<std::uint32_t> bits;
-  scheme->residual_fault_bits(msb_pair, bits);
-  double expected = 0.0;
-  for (const std::uint32_t b : bits) expected += std::ldexp(1.0, 2 * b);
-  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(msb_pair), expected);
+  EXPECT_GT(scheme->worst_case_row_cost(5, ecc_cols), 0.0);
+  EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(40, ecc_cols), 0.0);
+  // Each row's cost is sum 4^b over that row's own tier residual.
+  for (const std::uint32_t row : {5u, 40u}) {
+    std::vector<std::uint32_t> bits;
+    scheme->residual_fault_bits(row, msb_pair, bits);
+    double expected = 0.0;
+    for (const std::uint32_t b : bits) expected += std::ldexp(1.0, 2 * b);
+    EXPECT_DOUBLE_EQ(scheme->worst_case_row_cost(row, msb_pair), expected)
+        << row;
+  }
 }
 
 // ------------------------------------------- per-region spare pools

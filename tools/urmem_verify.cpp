@@ -4,17 +4,21 @@
 // patterns over the data+check columns (k up to the scheme's
 // correction guarantee plus one, or --max-bits) and proves:
 //
-//   * block == scalar == reference bit-identity on encode and decode;
+//   * block == reference bit-identity on encode and decode (the scalar
+//     codecs are one-element block calls and are checked with them);
 //   * every <= t-bit pattern is corrected, every (t+1)-bit pattern is
 //     flagged detected_uncorrectable (t = guaranteed_correctable_bits);
-//   * the analytic residual model (residual_fault_bits /
-//     worst_case_row_cost) equals the enumerated truth exactly, for
-//     every enumerated data word.
+//   * the analytic residual model (residual_fault_bits, per decoded
+//     row) equals the enumerated truth exactly, for every enumerated
+//     data word, and the Eq. (6) cost derived from it is sum 4^b over
+//     exactly those bits.
 //
 // Schemes are resolved through the scenario scheme registry, so the
 // compact "name:key=value" spec strings verify the very recipes
-// scenarios run. The sweep parallelizes over the campaign pool and is
-// deterministic for a fixed seed at any thread count.
+// scenarios run; --schemes splits like urmem-run's schemes= override,
+// so tiered entries keep their comma-separated sub-scheme options. The
+// sweep parallelizes over the campaign pool and is deterministic for a
+// fixed seed at any thread count.
 //
 // Usage:
 //   urmem-verify [--schemes=a,b,...] [--widths=4,8,16] [--threads=N]
@@ -45,14 +49,18 @@ constexpr std::string_view usage =
     "\n"
     "  Exhaustively enumerates all k-bit fault patterns (k up to the\n"
     "  scheme's correction guarantee + 1) for every scheme x width and\n"
-    "  proves correction/detection classification, block==scalar==\n"
-    "  reference bit-identity, and exactness of the analytic residual\n"
-    "  model against the enumerated truth.\n"
+    "  proves correction/detection classification, block == reference\n"
+    "  bit-identity, and exactness of the per-row analytic residual\n"
+    "  model (cost derived from residual bits) against the enumerated\n"
+    "  truth.\n"
     "\n"
     "flags:\n"
-    "  --schemes=a,b,...  compact scheme specs (registry grammar);\n"
+    "  --schemes=a,b,...  compact scheme specs (registry grammar; tiered\n"
+    "                     sub-options such as tiered:0-3=secded:4-7=\n"
+    "                     shuffle,nfm=1 stay with their entry);\n"
     "                     default: none,secded,hsiao,bch:t=1,bch:t=2,\n"
-    "                     pecc,shuffle:nfm=1,shuffle:nfm=2\n"
+    "                     pecc,shuffle:nfm=1,shuffle:nfm=2,\n"
+    "                     shuffle+secded,shuffle+pecc\n"
     "  --widths=4,8,16    data widths to verify (default 4,8,16)\n"
     "  --max-bits=K       override pattern weight ceiling (default 0 =\n"
     "                     per-scheme guarantee + 1, floored at 2)\n"
@@ -74,8 +82,10 @@ int main(int argc, char** argv) {
   using urmem::scheme_registry;
 
   std::vector<std::string> schemes = {
-      "none",          "secded",        "hsiao",        "bch:t=1",
-      "bch:t=2",       "pecc",          "shuffle:nfm=1", "shuffle:nfm=2"};
+      "none",          "secded",        "hsiao",
+      "bch:t=1",       "bch:t=2",       "pecc",
+      "shuffle:nfm=1", "shuffle:nfm=2", "shuffle+secded",
+      "shuffle+pecc"};
   std::vector<unsigned> widths = {4, 8, 16};
   exhaustive_config config;
   campaign_config pool_config;
@@ -98,7 +108,7 @@ int main(int argc, char** argv) {
   if (parsed->help) return 0;
   try {
     if (parsed->has("--schemes")) {
-      schemes = urmem::split_csv(parsed->value_or("--schemes"));
+      schemes = urmem::split_scheme_list(parsed->value_or("--schemes"));
     }
     if (parsed->has("--widths")) {
       widths.clear();
