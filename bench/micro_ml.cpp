@@ -11,12 +11,16 @@
 //   2. symmetric_eigen eigenvalues within 1e-10 (relative to the largest)
 //      of jacobi_eigen's, and the PCA score within 1e-10 of the
 //      Jacobi-based score;
-//   3. knn_classifier::predict == knn_predict_one_reference, every query.
+//   3. knn_classifier::predict == knn_predict_one_reference, every query;
+//   4. the KNN app's trial evaluator (knn_delta_classifier, fed the rows
+//      that differ from the clean readback) == its full evaluate(),
+//      bit for bit.
 // Then it times each app's evaluate(), the eigensolver against Jacobi,
-// covariance and KNN predict against their references, and reports
+// covariance and KNN predict against their references, and the KNN
+// trial evaluator against the full evaluate(). It reports
 // speedup_pca_vs_jacobi (symmetric_eigen vs jacobi_eigen on the 60 x 60
-// covariance), which the CI perf job gates. Emits BENCH_micro_ml.json
-// (see README "Bench telemetry").
+// covariance) and speedup_knn_delta_vs_full, which the CI perf job
+// gates. Emits BENCH_micro_ml.json (see README "Bench telemetry").
 //
 // Flags:
 //   --seed=S         fault-injection seed            (default 1)
@@ -99,6 +103,23 @@ std::vector<int> knn_reference_predict(const matrix& train,
   return out;
 }
 
+// Rows in which `stored` differs from `clean`, ascending.
+std::vector<std::size_t> changed_rows(const matrix& clean,
+                                      const matrix& stored) {
+  std::vector<std::size_t> rows;
+  for (std::size_t r = 0; r < clean.rows(); ++r) {
+    const auto a = clean.row(r);
+    const auto b = stored.row(r);
+    if (!std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+          return std::bit_cast<std::uint64_t>(x) ==
+                 std::bit_cast<std::uint64_t>(y);
+        })) {
+      rows.push_back(r);
+    }
+  }
+  return rows;
+}
+
 // Checks every fast kernel against its oracle on one faulty input pair.
 bool verify_against_oracles(const matrix& pca_stored, const matrix& pca_holdout,
                             const knn_data& knn, const matrix& knn_stored,
@@ -153,6 +174,10 @@ int main(int argc, char** argv) {
   const auto pca_app = make_pca_app();
   const matrix& pca_clean = pca_app->train_features();
   const knn_data knn = make_knn_data();
+  const auto knn_app = make_knn_app();
+  const matrix knn_app_clean = storage_config{}.quantizer().roundtrip(
+      knn_app->train_features());
+  const auto knn_trials = knn_app->prepare_trials(knn_app_clean);
 
   rng gen(seed);
   std::size_t checked = 0;
@@ -166,12 +191,24 @@ int main(int argc, char** argv) {
                                   label)) {
         return 1;
       }
+      const matrix app_stored =
+          faulty_readback(knn_app->train_features(), shuffle, n, gen);
+      const double full = knn_app->evaluate(app_stored);
+      const double delta = knn_trials->evaluate(
+          app_stored, changed_rows(knn_app_clean, app_stored));
+      if (std::bit_cast<std::uint64_t>(full) !=
+          std::bit_cast<std::uint64_t>(delta)) {
+        std::cerr << "KNN DELTA MISMATCH " << label << ": " << delta
+                  << " vs " << full << "\n";
+        return 1;
+      }
       ++checked;
     }
   }
   std::cout << "kernels match the reference oracles on " << checked
-            << " faulty input pairs: covariance and KNN bit-identical, "
-               "eigenvalues and PCA score within 1e-10\n\n";
+            << " faulty input pairs: covariance, KNN and the KNN trial "
+               "evaluator bit-identical, eigenvalues and PCA score within "
+               "1e-10\n\n";
 
   std::vector<bench::micro_result> results;
   for (const auto& app : apps) {
@@ -233,6 +270,27 @@ int main(int argc, char** argv) {
       min_ms));
   const std::size_t ref_knn = results.size() - 1;
 
+  const matrix app_stored =
+      faulty_readback(knn_app->train_features(), true, faults, gen);
+  const std::vector<std::size_t> app_changed =
+      changed_rows(knn_app_clean, app_stored);
+  results.push_back(bench::run_micro(
+      "KNN evaluate (full)", 1,
+      [&] {
+        bench::keep(
+            std::bit_cast<std::uint64_t>(knn_app->evaluate(app_stored)));
+      },
+      min_ms));
+  const std::size_t full_trial = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "KNN trial evaluator (changed rows)", 1,
+      [&] {
+        bench::keep(std::bit_cast<std::uint64_t>(
+            knn_trials->evaluate(app_stored, app_changed)));
+      },
+      min_ms));
+  const std::size_t delta_trial = results.size() - 1;
+
   bench::print_micro_table(results);
 
   const auto speedup = [&](std::size_t slow, std::size_t fast) {
@@ -241,9 +299,13 @@ int main(int argc, char** argv) {
   const double speedup_pca = speedup(jacobi, fast_eigen);
   const double speedup_cov = speedup(ref_cov, fast_cov);
   const double speedup_knn = speedup(ref_knn, fast_knn);
+  const double speedup_delta = speedup(full_trial, delta_trial);
   std::cout << "\nspeedup vs reference: eigensolver " << speedup_pca
             << "x, covariance " << speedup_cov << "x, knn predict "
-            << speedup_knn << "x\n";
+            << speedup_knn << "x\n"
+            << "knn trial evaluator vs full evaluate: " << speedup_delta
+            << "x (" << app_changed.size() << " of "
+            << app_stored.rows() << " rows changed)\n";
 
   bench::json_object payload = bench::bench_envelope("micro_ml");
   bench::json_object config;
@@ -259,6 +321,7 @@ int main(int argc, char** argv) {
   payload.add("speedup_pca_vs_jacobi", speedup_pca);
   payload.add("speedup_covariance_vs_reference", speedup_cov);
   payload.add("speedup_knn_vs_reference", speedup_knn);
+  payload.add("speedup_knn_delta_vs_full", speedup_delta);
   bench::write_bench_json("micro_ml", payload);
   return 0;
 }

@@ -19,6 +19,7 @@
 #include "urmem/common/table.hpp"
 #include "urmem/scenario/workload_registry.hpp"
 #include "urmem/sim/applications.hpp"
+#include "urmem/sim/memory_pipeline.hpp"
 #include "urmem/sim/quantizer.hpp"
 
 namespace urmem {
@@ -146,8 +147,7 @@ class hrm_workload final : public workload {
 
     // The stored data: a seed-derived integer pattern (deterministic
     // across platforms), or an application's quantized training set.
-    const matrix_quantizer quantizer(
-        fixed_point_codec(spec.geometry.word_bits, spec.geometry.frac_bits));
+    const matrix_quantizer quantizer = spec.storage().quantizer();
     std::unique_ptr<application> app;
     std::vector<word_t> words;
     double clean_metric = 0.0;
@@ -322,29 +322,12 @@ class hrm_workload final : public workload {
     for (const scheme_recipe& baseline : baselines) {
       storage_config storage = spec.storage(baseline.spare_rows);
       storage.regions = baseline.regions;
-      const matrix_quantizer& q = quantizer;
-      std::vector<word_t> base_restored(words.size());
-      std::size_t base_cursor = 0;
       const fault_injector base_inject =
           exact_faults_.empty()
               ? binomial_fault_injector(baseline_pcell, spec.fault.polarity)
               : exact_fault_injector(exact_total, spec.fault.polarity);
-      while (base_cursor < words.size()) {
-        const auto tile_words =
-            std::min<std::size_t>(rows, words.size() - base_cursor);
-        protected_memory memory =
-            storage.regions.empty()
-                ? protected_memory(rows, baseline.factory(rows),
-                                   storage.spare_rows_per_tile)
-                : protected_memory(rows, baseline.factory(rows),
-                                   storage.regions);
-        memory.set_fault_map(base_inject(memory.storage_geometry(), gen));
-        memory.write_block(0, std::span<const word_t>(words).subspan(
-                                  base_cursor, tile_words));
-        memory.read_block(0, std::span<word_t>(base_restored)
-                                 .subspan(base_cursor, tile_words));
-        base_cursor += tile_words;
-      }
+      const std::vector<word_t> base_restored = store_and_readback_words(
+          words, storage, baseline.factory, base_inject, gen);
       std::uint64_t errors = 0;
       for (std::size_t i = 0; i < words.size(); ++i) {
         if (words[i] != base_restored[i]) ++errors;
@@ -352,9 +335,9 @@ class hrm_workload final : public workload {
       result.baseline_word_errors.push_back(errors);
       result.baseline_metrics.push_back(
           app != nullptr
-              ? app->evaluate(q.from_words(base_restored,
-                                           app->train_features().rows(),
-                                           app->train_features().cols()))
+              ? app->evaluate(quantizer.from_words(
+                    base_restored, app->train_features().rows(),
+                    app->train_features().cols()))
               : 0.0);
     }
     return result;

@@ -11,10 +11,23 @@
 // Only the training *features* live in the unreliable data memory;
 // targets/labels are control data held in reliable storage (the paper
 // does not state otherwise, and data memories hold bulk numeric data).
+//
+// Fig. 7 trials share one clean context. prepare_trials(clean_stored)
+// takes the fault-free readback of the training features and returns
+// an immutable trial_evaluator; each trial then hands it the faulty
+// readback plus its changed rows: every row whose stored words differ
+// from the clean readback's. evaluate(stored, changed_rows) must equal
+// evaluate(stored) bit for bit, so an application may reuse whatever
+// it derived from the clean rows. The default re-runs the full
+// evaluate(), which stays the oracle; KNN overrides it with
+// knn_delta_classifier (clean neighbor prefixes, d2 recomputed only for
+// changed rows, an exact full scan when a query's prefix runs out).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +35,23 @@
 #include "urmem/ml/matrix.hpp"
 
 namespace urmem {
+
+/// Scores the trials of one experiment against a fixed clean context
+/// (see application::prepare_trials). Immutable, so one evaluator is
+/// shared by every campaign worker; it must not outlive its
+/// application.
+class trial_evaluator {
+ public:
+  virtual ~trial_evaluator() = default;
+
+  /// application::evaluate(stored), bit for bit. `changed_rows` lists,
+  /// strictly ascending, every row in which `stored` differs from the
+  /// clean matrix the evaluator was prepared with; listing an unchanged
+  /// row as well is allowed and only costs time.
+  [[nodiscard]] virtual double evaluate(
+      const matrix& stored,
+      std::span<const std::size_t> changed_rows) const = 0;
+};
 
 /// One benchmark application bound to its dataset and metric.
 class application {
@@ -43,6 +73,12 @@ class application {
   /// Trains on `stored_train_features` (same shape as train_features())
   /// and returns the quality metric measured on the clean test set.
   [[nodiscard]] virtual double evaluate(const matrix& stored_train_features) const = 0;
+
+  /// Evaluator for trials whose stored features are `clean_stored` (the
+  /// fault-free readback of train_features()) with some rows changed.
+  /// The default calls evaluate() in full on every trial.
+  [[nodiscard]] virtual std::unique_ptr<const trial_evaluator> prepare_trials(
+      const matrix& clean_stored) const;
 };
 
 /// Elasticnet regression on wine-like data (metric: R^2).

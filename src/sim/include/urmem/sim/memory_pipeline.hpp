@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "urmem/common/rng.hpp"
 #include "urmem/memory/fault_sampler.hpp"
@@ -40,6 +42,11 @@ struct storage_config {
   /// its spare pool). Empty = homogeneous tile; when set it replaces
   /// spare_rows_per_tile, which must then be 0.
   std::vector<memory_region> regions;
+
+  /// The Q-format codec between feature values and stored words.
+  [[nodiscard]] matrix_quantizer quantizer() const {
+    return matrix_quantizer(fixed_point_codec(word_bits, frac_bits));
+  }
 };
 
 /// Statistics of one store/readback pass.
@@ -50,9 +57,17 @@ struct pipeline_stats {
   std::uint64_t uncorrectable_words = 0;  ///< decoder flagged detected_uncorrectable
 };
 
-/// Writes `input` through scheme-protected faulty tiles and reads it
-/// back. Each tile gets a fresh scheme from `factory` and a fault map
-/// from `inject`.
+/// Writes `words` through scheme-protected faulty tiles and returns the
+/// words read back. Each tile of `config.rows_per_tile` words gets a
+/// fresh scheme from `factory` and a fault map from `inject`, drawn on
+/// `gen` in tile order.
+[[nodiscard]] std::vector<word_t> store_and_readback_words(
+    std::span<const word_t> words, const storage_config& config,
+    const scheme_factory& factory, const fault_injector& inject, rng& gen,
+    pipeline_stats* stats = nullptr);
+
+/// store_and_readback_words on `input` quantized in the config's
+/// Q-format, dequantized back into a matrix of the same shape.
 [[nodiscard]] matrix store_and_readback(const matrix& input,
                                         const storage_config& config,
                                         const scheme_factory& factory,

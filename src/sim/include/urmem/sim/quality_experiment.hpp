@@ -8,6 +8,20 @@
 // metric — normalized to the fault-free (quantization-only) baseline —
 // is recorded. Strata are weighted by the binomial Pr(N = n), so the
 // resulting weighted CDF is the quality-yield curve of Fig. 7.
+//
+// Trials pay only for the rows their faults changed. The training
+// features are quantized once per experiment; the fault-free readback
+// of those words (clean words and clean matrix) is the clean context,
+// shared read-only by every worker. A trial stores the same words
+// through its faulty tiles, diffs the restored words against the clean
+// ones, and builds its matrix as a copy of the clean matrix with only
+// the changed rows decoded in: a row is changed when any of its words
+// differs from the clean readback. The application scores it through
+// application::prepare_trials' evaluator with those row indices (KNN
+// re-ranks only the changed rows and falls back to a full scan for a
+// query whose clean neighbor prefix runs out), so every result is
+// bit-identical to dequantizing every word and calling the full
+// evaluate().
 #pragma once
 
 #include <cstdint>

@@ -47,6 +47,20 @@ prepared_data prepare(const dataset& data, std::uint64_t seed) {
   return out;
 }
 
+/// The default trial path: the full evaluate() on every trial.
+class full_evaluator final : public trial_evaluator {
+ public:
+  explicit full_evaluator(const application& app) : app_(app) {}
+
+  [[nodiscard]] double evaluate(
+      const matrix& stored, std::span<const std::size_t>) const override {
+    return app_.evaluate(stored);
+  }
+
+ private:
+  const application& app_;
+};
+
 class elasticnet_app final : public application {
  public:
   explicit elasticnet_app(std::uint64_t seed)
@@ -96,8 +110,29 @@ class pca_app final : public application {
   prepared_data data_;
 };
 
+/// KNN trials: only the changed rows' distances are recomputed.
+class knn_trial_evaluator final : public trial_evaluator {
+ public:
+  knn_trial_evaluator(knn_delta_classifier classifier,
+                      const std::vector<int>& test_labels)
+      : classifier_(std::move(classifier)), test_labels_(test_labels) {}
+
+  [[nodiscard]] double evaluate(
+      const matrix& stored,
+      std::span<const std::size_t> changed_rows) const override {
+    return accuracy_score(test_labels_,
+                          classifier_.predict(stored, changed_rows));
+  }
+
+ private:
+  knn_delta_classifier classifier_;
+  const std::vector<int>& test_labels_;
+};
+
 class knn_app final : public application {
  public:
+  static constexpr std::size_t k = 5;
+
   explicit knn_app(std::uint64_t seed)
       : data_(prepare(make_har_like({.seed = seed ^ 0x686172ULL}), seed)) {}
 
@@ -110,9 +145,20 @@ class knn_app final : public application {
     expects(stored.rows() == data_.train_x.rows() &&
                 stored.cols() == data_.train_x.cols(),
             "stored training features have the wrong shape");
-    knn_classifier model(5);
+    knn_classifier model(k);
     model.fit(stored, data_.train_labels);
     return model.score(data_.test_x, data_.test_labels);
+  }
+
+  [[nodiscard]] std::unique_ptr<const trial_evaluator> prepare_trials(
+      const matrix& clean_stored) const override {
+    expects(clean_stored.rows() == data_.train_x.rows() &&
+                clean_stored.cols() == data_.train_x.cols(),
+            "clean stored training features have the wrong shape");
+    return std::make_unique<knn_trial_evaluator>(
+        knn_delta_classifier(k, clean_stored, data_.train_labels,
+                             data_.test_x),
+        data_.test_labels);
   }
 
  private:
@@ -142,6 +188,11 @@ class image_app final : public application {
 };
 
 }  // namespace
+
+std::unique_ptr<const trial_evaluator> application::prepare_trials(
+    const matrix&) const {
+  return std::make_unique<full_evaluator>(*this);
+}
 
 std::unique_ptr<application> make_image_app(std::uint64_t seed) {
   return std::make_unique<image_app>(seed);

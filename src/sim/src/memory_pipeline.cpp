@@ -8,14 +8,12 @@
 
 namespace urmem {
 
-matrix store_and_readback(const matrix& input, const storage_config& config,
-                          const scheme_factory& factory, const fault_injector& inject,
-                          rng& gen, pipeline_stats* stats) {
+std::vector<word_t> store_and_readback_words(std::span<const word_t> words,
+                                             const storage_config& config,
+                                             const scheme_factory& factory,
+                                             const fault_injector& inject,
+                                             rng& gen, pipeline_stats* stats) {
   expects(config.rows_per_tile >= 1, "tiles need at least one row");
-  const matrix_quantizer quantizer(
-      fixed_point_codec(config.word_bits, config.frac_bits));
-  const std::vector<word_t> words = quantizer.to_words(input);
-
   expects(config.regions.empty() || config.spare_rows_per_tile == 0,
           "a region table replaces spare_rows_per_tile");
   std::vector<word_t> restored(words.size());
@@ -42,7 +40,7 @@ matrix store_and_readback(const matrix& input, const storage_config& config,
     // Stream the whole tile through the batched block-codec +
     // fault-map plane path: one scheme call and one row op per direction
     // instead of per-word virtual calls.
-    memory.write_block(0, std::span<const word_t>(words).subspan(cursor, tile_words));
+    memory.write_block(0, words.subspan(cursor, tile_words));
     protected_memory::block_stats block;
     memory.read_block(0, std::span<word_t>(restored).subspan(cursor, tile_words),
                       &block);
@@ -52,7 +50,18 @@ matrix store_and_readback(const matrix& input, const storage_config& config,
     cursor += tile_words;
   }
   if (stats != nullptr) *stats = local;
-  return quantizer.from_words(restored, input.rows(), input.cols());
+  return restored;
+}
+
+matrix store_and_readback(const matrix& input, const storage_config& config,
+                          const scheme_factory& factory,
+                          const fault_injector& inject, rng& gen,
+                          pipeline_stats* stats) {
+  const matrix_quantizer quantizer = config.quantizer();
+  return quantizer.from_words(
+      store_and_readback_words(quantizer.to_words(input), config, factory,
+                               inject, gen, stats),
+      input.rows(), input.cols());
 }
 
 fault_injector exact_fault_injector(std::uint64_t n, fault_polarity polarity) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <utility>
 
 #include "urmem/common/binomial.hpp"
@@ -26,16 +27,27 @@ quality_result run_quality_experiment(const application& app,
   expects(config.samples_per_count >= 1, "need at least one sample per count");
   expects(config.pcell > 0.0 && config.pcell < 1.0, "pcell must be in (0,1)");
 
+  // The training features are quantized once; every trial stores the
+  // same words.
+  const matrix& features = app.train_features();
+  const matrix_quantizer quantizer = config.storage.quantizer();
+  const std::vector<word_t> words = quantizer.to_words(features);
+
   // Fault-free baseline: quantization round trip only, on a reserved
   // named stream outside the numbered trial range (the shared
   // seed-derivation policy of rng.hpp — no per-binary magic constants).
+  // Its restored words and matrix are the clean context every trial
+  // diffs against, shared read-only across workers.
   rng baseline_gen = named_stream_rng(runner.seed(), "quality.baseline");
+  const std::vector<word_t> clean_words = store_and_readback_words(
+      words, config.storage, factory, no_fault_injector(), baseline_gen);
   const matrix clean_stored =
-      store_and_readback(app.train_features(), config.storage, factory,
-                         no_fault_injector(), baseline_gen);
+      quantizer.from_words(clean_words, features.rows(), features.cols());
   const double clean_metric = app.evaluate(clean_stored);
   ensures(std::isfinite(clean_metric) && clean_metric != 0.0,
           "clean baseline metric must be finite and nonzero");
+  const std::unique_ptr<const trial_evaluator> evaluator =
+      app.prepare_trials(clean_stored);
 
   const std::uint64_t n_max = failure_count_limit(config);
   const array_geometry geometry{config.storage.rows_per_tile,
@@ -63,10 +75,26 @@ quality_result run_quality_experiment(const application& app,
         const stratum& s = strata[trial / config.samples_per_count];
         const fault_injector inject =
             exact_fault_injector(s.n, config.polarity);
-        const matrix stored = store_and_readback(app.train_features(),
-                                                 config.storage, factory,
-                                                 inject, gen);
-        const double metric = app.evaluate(stored);
+        const std::vector<word_t> restored = store_and_readback_words(
+            words, config.storage, factory, inject, gen);
+        // from_words(restored) bit for bit: the clean matrix with only
+        // the rows whose words differ from the clean readback decoded.
+        matrix stored = clean_stored;
+        std::vector<std::size_t> changed_rows;
+        for (std::size_t r = 0; r < stored.rows(); ++r) {
+          const auto first = static_cast<std::ptrdiff_t>(r * stored.cols());
+          const auto last = first + static_cast<std::ptrdiff_t>(stored.cols());
+          if (std::equal(restored.begin() + first, restored.begin() + last,
+                         clean_words.begin() + first)) {
+            continue;
+          }
+          changed_rows.push_back(r);
+          std::transform(restored.begin() + first, restored.begin() + last,
+                         stored.row(r).begin(), [&](word_t word) {
+                           return quantizer.codec().decode(word);
+                         });
+        }
+        const double metric = evaluator->evaluate(stored, changed_rows);
         const double normalized = std::clamp(
             std::isfinite(metric) ? metric / clean_metric : 0.0, 0.0, 1.0);
         return {normalized, s.weight_each};

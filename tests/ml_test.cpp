@@ -9,9 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "urmem/common/fixed_point.hpp"
 #include "urmem/common/rng.hpp"
 #include "urmem/common/stats.hpp"
 #include "urmem/datasets/generators.hpp"
@@ -637,6 +639,133 @@ TEST(KnnTest, FaultyFig7ReadbacksPredictLikeTheReference) {
     expect_knn_matches_reference(stored, data.labels, 5, queries,
                                  std::to_string(faults) + " faults");
   }
+}
+
+// ---------------------------------------------------- knn delta classifier
+
+// Predictions of a knn_classifier fitted on `stored`: the oracle.
+std::vector<int> full_predictions(std::size_t k, const matrix& stored,
+                                  const std::vector<int>& labels,
+                                  const matrix& queries) {
+  knn_classifier model(k);
+  model.fit(stored, labels);
+  return model.predict(queries);
+}
+
+TEST(KnnDeltaClassifierTest, MatchesTheFullClassifierOverRandomChangeSets) {
+  const fixed_point_codec codec(32, 16);  // the Fig. 7 word format
+  const auto quantized = [&](double v) {
+    return codec.decode(codec.encode(v));
+  };
+  rng gen(44);
+  for (const std::size_t n : {20u, 203u}) {  // prefix covers all / some rows
+    const std::size_t p = 6;
+    matrix clean(n, p);
+    for (double& v : clean.data()) v = quantized(gen.normal());
+    // Duplicated training rows: equal d^2, so the training index decides.
+    for (std::size_t i = 0; i < n / 6; ++i) {
+      const std::size_t from = gen.uniform_below(n);
+      const std::size_t to = gen.uniform_below(n);
+      for (std::size_t j = 0; j < p; ++j) clean(to, j) = clean(from, j);
+    }
+    std::vector<int> labels(n);
+    for (int& l : labels) l = static_cast<int>(gen.uniform_below(4)) - 1;
+    matrix queries(64, p);
+    for (double& v : queries.data()) v = quantized(gen.normal());
+    for (std::size_t q = 0; q < 16; ++q) {  // queries sitting on rows
+      const std::size_t from = gen.uniform_below(n);
+      for (std::size_t j = 0; j < p; ++j) queries(q, j) = clean(from, j);
+    }
+
+    for (const std::size_t k : {1u, 5u, 32u, 33u}) {
+      if (k > n) continue;
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      const knn_delta_classifier delta(k, clean, labels, queries);
+      const auto expect_match = [&](const matrix& stored,
+                                    const std::vector<std::size_t>& changed,
+                                    const std::string& label) {
+        EXPECT_EQ(delta.predict(stored, changed),
+                  full_predictions(k, stored, labels, queries))
+            << label << " (" << changed.size() << " changed rows)";
+      };
+
+      // Empty change set: the clean predictions.
+      expect_match(clean, {}, "empty");
+
+      // Random change sets, from one row to every row. A changed row is
+      // redrawn, saturated to the fixed-point extremes, copied from
+      // another row (a d^2 tie with an unchanged row), or left as it
+      // was (listing an unchanged row is allowed).
+      for (std::size_t trial = 0; trial < 24; ++trial) {
+        const std::size_t m =
+            trial == 0 ? n : 1 + gen.uniform_below(trial % 2 == 0 ? n : 8);
+        std::vector<std::size_t> changed;
+        if (m == n) {
+          changed.resize(n);
+          std::iota(changed.begin(), changed.end(), std::size_t{0});
+        } else {
+          for (std::size_t i = 0; i < m; ++i) {
+            changed.push_back(gen.uniform_below(n));
+          }
+          std::sort(changed.begin(), changed.end());
+          changed.erase(std::unique(changed.begin(), changed.end()),
+                        changed.end());
+        }
+        matrix stored = clean;
+        for (const std::size_t row : changed) {
+          const std::uint64_t how = gen.uniform_below(4);
+          const std::size_t from = gen.uniform_below(n);
+          for (std::size_t j = 0; j < p; ++j) {
+            double& v = stored(row, j);
+            if (how == 0) v = quantized(3.0 * gen.normal());
+            if (how == 1) {
+              v = gen.uniform_below(2) == 0 ? codec.max_value()
+                                            : codec.min_value();
+            }
+            if (how == 2) v = clean(from, j);
+          }
+        }
+        expect_match(stored, changed, "trial " + std::to_string(trial));
+      }
+
+      // Changing every row of query 0's prefix empties it of unchanged
+      // rows and forces that query's exact full scan; moving the rows
+      // next to the query keeps them among its nearest.
+      std::vector<std::size_t> covered;
+      for (const knn_neighbor& nb : delta.clean_prefix(0)) {
+        covered.push_back(nb.index);
+      }
+      std::sort(covered.begin(), covered.end());
+      ASSERT_EQ(covered.size(),
+                std::min(n, knn_delta_classifier::prefix_width));
+      for (const bool near : {false, true}) {
+        matrix stored = clean;
+        for (const std::size_t row : covered) {
+          for (std::size_t j = 0; j < p; ++j) {
+            stored(row, j) =
+                near ? quantized(queries(0, j) + 0.01 * gen.normal())
+                     : codec.max_value();
+          }
+        }
+        expect_match(stored, covered,
+                     near ? "prefix moved near" : "prefix saturated");
+      }
+    }
+  }
+}
+
+TEST(KnnDeltaClassifierTest, RejectsMisuse) {
+  matrix clean(10, 2);
+  for (std::size_t i = 0; i < 10; ++i) clean(i, 0) = static_cast<double>(i);
+  const std::vector<int> labels(10, 1);
+  EXPECT_THROW(knn_delta_classifier(3, clean, labels, matrix(2, 3)),
+               std::invalid_argument);
+  const knn_delta_classifier delta(3, clean, labels, matrix(2, 2));
+  const std::vector<std::size_t> descending{4, 2};
+  const std::vector<std::size_t> out_of_range{10};
+  EXPECT_THROW((void)delta.predict(clean, descending), std::invalid_argument);
+  EXPECT_THROW((void)delta.predict(clean, out_of_range), std::invalid_argument);
+  EXPECT_THROW((void)delta.predict(matrix(9, 2), {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,8 +3,15 @@
 // experiment driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "urmem/common/binomial.hpp"
+#include "urmem/scenario/scheme_registry.hpp"
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/memory_pipeline.hpp"
 #include "urmem/sim/quality_experiment.hpp"
@@ -224,6 +231,86 @@ TEST(QualityExperimentTest, ShuffleOutperformsNoCorrection) {
       "nFM=2", config);
   EXPECT_LT(none.cdf.quantile(0.10), shuffled.cdf.quantile(0.10) - 0.02);
   EXPECT_GT(shuffled.cdf.quantile(0.10), 0.9);
+}
+
+// run_quality_experiment's CDF recomputed on the full path: every trial
+// quantizes and dequantizes the whole training set (store_and_readback)
+// and calls the full evaluate(), on the same baseline stream and
+// per-trial streams.
+quality_result full_path_experiment(const application& app,
+                                    const scheme_recipe& recipe,
+                                    const quality_experiment_config& config) {
+  campaign_runner runner({.threads = 1, .seed = config.seed});
+  rng baseline_gen = named_stream_rng(runner.seed(), "quality.baseline");
+  const double clean_metric = app.evaluate(
+      store_and_readback(app.train_features(), config.storage, recipe.factory,
+                         no_fault_injector(), baseline_gen));
+  const array_geometry geometry{config.storage.rows_per_tile,
+                                config.storage.word_bits};
+  const binomial_distribution dist(geometry.cells(), config.pcell);
+  std::vector<std::pair<std::uint64_t, double>> strata;  // (n, weight each)
+  for (std::uint64_t n = 1; n <= failure_count_limit(config); ++n) {
+    const double pn = dist.pmf(n);
+    if (pn > 0.0) strata.emplace_back(n, pn / config.samples_per_count);
+  }
+  quality_result result;
+  result.scheme_name = recipe.display_name;
+  result.clean_metric = clean_metric;
+  result.cdf = runner.map_weighted(
+      strata.size() * config.samples_per_count,
+      [&](std::uint64_t trial, rng& gen) {
+        const auto [n, weight] = strata[trial / config.samples_per_count];
+        const double metric = app.evaluate(store_and_readback(
+            app.train_features(), config.storage, recipe.factory,
+            exact_fault_injector(n, config.polarity), gen));
+        return weighted_sample{
+            std::clamp(
+                std::isfinite(metric) ? metric / clean_metric : 0.0, 0.0, 1.0),
+            weight};
+      });
+  return result;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
+}
+
+TEST(QualityExperimentTest, FaultDeltaTrialsMatchTheFullPathBitForBit) {
+  const geometry_spec geometry{4096, 32, 16};
+  std::vector<scheme_recipe> recipes;
+  for (const char* text :
+       {"none", "pecc", "shuffle:nfm=1", "redundancy:spares=16",
+        "tiered:0-1023=secded,spare_rows=4:1024-4095=shuffle,nfm=2"}) {
+    recipes.push_back(scheme_registry::instance().make(
+        parse_compact_scheme(text, "schemes[0]"), geometry));
+  }
+  for (const char* name : {"elasticnet", "pca", "knn", "image"}) {
+    const auto app = make_application(name);
+    for (const scheme_recipe& recipe : recipes) {
+      quality_experiment_config config = tiny_config();
+      config.samples_per_count = 1;
+      config.storage.spare_rows_per_tile = recipe.spare_rows;
+      config.storage.regions = recipe.regions;
+      const quality_result expected =
+          full_path_experiment(*app, recipe, config);
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(name) + " / " + recipe.display_name +
+                     " threads=" + std::to_string(threads));
+        config.threads = threads;
+        const quality_result got = run_quality_experiment(
+            *app, recipe.factory, recipe.display_name, config);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.clean_metric),
+                  std::bit_cast<std::uint64_t>(expected.clean_metric));
+        EXPECT_TRUE(same_bits(got.cdf.support(), expected.cdf.support()));
+        EXPECT_TRUE(
+            same_bits(got.cdf.cumulative(), expected.cdf.cumulative()));
+      }
+    }
+  }
 }
 
 }  // namespace
