@@ -6,8 +6,6 @@
 // as the data array and measures the empirical MSE inflation: a wrong
 // xFM mis-rotates the *entire* word, so LUT robustness is a real design
 // requirement, quantified here.
-//
-// Flags: --pcell=P (default 1e-3), --trials=N (default 200), --seed=S
 #include <cmath>
 #include <iostream>
 
@@ -64,13 +62,17 @@ double empirical_mse(unsigned n_fm, double pcell, bool corrupt_lut, rng& gen) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"pcell", "cell failure probability (default 1e-3)"},
+       {"trials", "Monte-Carlo arrays per point (default 200)"},
+       {"seed", "(default 5)"}});
+  const double pcell = args.real("pcell", 1e-3);
+  const auto trials = args.u64("trials", 200);
+  rng gen(args.u64("seed", 5));
+
   bench::banner("Ablation — faulty FM-LUT columns",
                 "DESIGN.md §2 (LUT robustness assumption of Sec. 3)");
-
-  const double pcell = args.get_double("pcell", 1e-3);
-  const auto trials = args.get_u64("trials", 200);
-  rng gen(args.get_u64("seed", 5));
 
   std::cout << "4096 x 32 array, Pcell = " << format_scientific(pcell, 2)
             << " for both data cells and (when enabled) LUT bits, "

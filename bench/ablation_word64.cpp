@@ -5,8 +5,6 @@
 // codewords (78 columns) or a single bit-shuffling rotator with
 // nFM up to 6. This ablation compares the quality (Eq. 6 MSE) and the
 // hardware overhead of both at the same Pcell.
-//
-// Flags: --runs=N (default 200000), --seed=S
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -17,14 +15,19 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"runs", "Monte-Carlo runs (default 200000)"},
+       {"seed", "(default 13)"},
+       {"pcell", "cell failure probability (default 5e-6)"}});
+  mse_cdf_config config;
+  config.total_runs = args.u64("runs", 200'000);
+  config.seed = args.u64("seed", 13);
+  const double pcell = args.real("pcell", 5e-6);
+
   bench::banner("Ablation — 64-bit data words",
                 "DESIGN.md §3 (width generalization; paper future work)");
 
-  mse_cdf_config config;
-  config.total_runs = args.get_u64("runs", 200'000);
-  config.seed = args.get_u64("seed", 13);
-  const double pcell = args.get_double("pcell", 5e-6);
   const std::uint32_t rows = 2048;  // same 16 KB capacity at 64-bit words
 
   std::cout << "16KB as 2048 x 64, Pcell = " << format_scientific(pcell, 2)

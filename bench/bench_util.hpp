@@ -1,6 +1,6 @@
 // Shared bench infrastructure:
-//  * arg_parser — minimal `--flag=value` parsing so the paper's full
-//    Monte-Carlo configuration stays one flag away from the fast default;
+//  * flags — `--flag=value` parsing over common/cli.hpp that
+//    rejects unknown flags and malformed numbers with exit code 2;
 //  * json_object / write_bench_json — machine-readable BENCH_<name>.json
 //    telemetry (wall time, throughput, config, git sha) that CI uploads
 //    as artifacts and gates perf regressions on;
@@ -13,14 +13,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "urmem/common/cli.hpp"
+#include "urmem/common/fs.hpp"
+#include "urmem/scenario/options.hpp"
 
 // Short git revision baked in at configure time (see bench/CMakeLists.txt).
 #ifndef URMEM_GIT_SHA
@@ -29,52 +34,64 @@
 
 namespace urmem::bench {
 
-/// Parsed `--key=value` arguments.
-class arg_parser {
+/// A bench's command line, parsed by common/cli.hpp: every flag takes
+/// a value (`--flag=value` or `--flag value`) and `--help` prints the
+/// usage built from the flag list. An unknown flag, or a value that is
+/// not the number the bench reads, prints "<bench>: ..." naming the
+/// flag and exits 2; benches read their flags before doing any work.
+class flags {
  public:
-  arg_parser(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  /// Value of `--name=...` as uint64, or `fallback` when absent.
-  [[nodiscard]] std::uint64_t get_u64(std::string_view name,
-                                      std::uint64_t fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? fallback : std::strtoull(value.c_str(), nullptr, 10);
-  }
-
-  /// Value of `--name=...` as double, or `fallback` when absent.
-  [[nodiscard]] double get_double(std::string_view name, double fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? fallback : std::strtod(value.c_str(), nullptr);
-  }
-
-  /// Value of `--name=...` verbatim, or `fallback` when absent.
-  [[nodiscard]] std::string get_string(std::string_view name,
-                                       std::string_view fallback) const {
-    const std::string value = raw(name);
-    return value.empty() ? std::string(fallback) : value;
-  }
-
-  /// True when `--name` (with or without value) is present.
-  [[nodiscard]] bool has(std::string_view name) const {
-    const std::string plain = "--" + std::string(name);
-    for (const auto& arg : args_) {
-      if (arg == plain || arg.starts_with(plain + "=")) return true;
+  /// `known` pairs each flag name (no dashes) with its help text.
+  flags(int argc, char** argv,
+        const std::vector<std::pair<std::string, std::string>>& known)
+      : tool_(std::filesystem::path(argv[0]).filename().string()) {
+    std::vector<cli_flag> names;
+    std::size_t width = 4;  // "help"
+    for (const auto& entry : known) width = std::max(width, entry.first.size());
+    std::string usage = "usage: " + tool_ + " [--flag=value ...]\n\nflags:\n";
+    for (const auto& [name, help] : known) {
+      names.push_back({"--" + name, true});
+      usage += "  --" + name + std::string(width + 2 - name.size(), ' ') +
+               help + "\n";
     }
-    return false;
+    usage += "  --help" + std::string(width - 2, ' ') + "this text\n";
+    std::optional<cli_args> parsed = parse_cli(
+        {.tool = tool_, .usage = usage, .flags = names}, argc, argv,
+        std::cout, std::cerr);
+    // NOLINTBEGIN(concurrency-mt-unsafe): benches parse flags on the
+    // main thread before any worker starts.
+    if (!parsed) std::exit(2);
+    if (parsed->help) std::exit(0);
+    // NOLINTEND(concurrency-mt-unsafe)
+    args_ = std::move(*parsed);
+  }
+
+  /// Value of `--name` as uint64, or `fallback` when absent.
+  [[nodiscard]] std::uint64_t u64(std::string_view name,
+                                  std::uint64_t fallback) const {
+    return value(name, fallback, parse_spec_u64);
+  }
+
+  /// Value of `--name` as double, or `fallback` when absent.
+  [[nodiscard]] double real(std::string_view name, double fallback) const {
+    return value(name, fallback, parse_spec_double);
   }
 
  private:
-  [[nodiscard]] std::string raw(std::string_view name) const {
-    const std::string prefix = "--" + std::string(name) + "=";
-    for (const auto& arg : args_) {
-      if (arg.starts_with(prefix)) return arg.substr(prefix.size());
+  template <typename T, typename Parse>
+  [[nodiscard]] T value(std::string_view name, T fallback, Parse parse) const {
+    const std::string flag = "--" + std::string(name);
+    if (!args_.has(flag)) return fallback;
+    try {
+      return parse(flag, args_.value_or(flag));
+    } catch (const spec_error& error) {
+      std::cerr << tool_ << ": " << error.what() << "\n";
+      std::exit(2);  // NOLINT(concurrency-mt-unsafe): as in the ctor
     }
-    return {};
   }
 
-  std::vector<std::string> args_;
+  std::string tool_;
+  cli_args args_;
 };
 
 /// Prints the standard bench banner.
@@ -190,21 +207,26 @@ inline std::string bench_json_dir() {
   return dir != nullptr && *dir != '\0' ? dir : ".";
 }
 
-/// Writes `payload` to <dir>/BENCH_<name>.json (note goes to stderr so
-/// bench stdout stays byte-identical across runs).
-inline void write_bench_json(std::string_view bench_name,
-                             const json_object& payload) {
+/// Publishes `payload` as <dir>/BENCH_<name>.json through
+/// write_file_atomic (fsynced, parent directories created), so a reader
+/// never sees a truncated file. The note goes to stderr so bench stdout
+/// stays byte-identical across runs. Returns the bench's exit code: 0,
+/// or 1 when the file could not be written.
+[[nodiscard]] inline int write_bench_json(std::string_view bench_name,
+                                          const json_object& payload) {
   std::string path = bench_json_dir();
   path += "/BENCH_";
   path += bench_name;
   path += ".json";
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << "\n";
-    return;
+  try {
+    write_file_atomic(path, payload.str() + "\n");
+  } catch (const std::exception& error) {
+    std::cerr << "error: cannot write " << path << ": " << error.what()
+              << "\n";
+    return 1;
   }
-  out << payload.str() << "\n";
   std::cerr << "bench telemetry: " << path << "\n";
+  return 0;
 }
 
 // ---------------------------------------------------------- micro timing

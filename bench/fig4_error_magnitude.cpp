@@ -10,8 +10,9 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  const bench::arg_parser args(argc, argv);
-  const auto width = static_cast<unsigned>(args.get_u64("width", 32));
+  const bench::flags args(
+      argc, argv, {{"width", "word width W, a power of two (default 32)"}});
+  const auto width = static_cast<unsigned>(args.u64("width", 32));
   bench::banner("Fig. 4 — error magnitude per faulty bit position",
                 "Ganapathy et al., DAC'15, Fig. 4");
 

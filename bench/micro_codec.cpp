@@ -17,11 +17,6 @@
 // the per-word virtual reference codecs — which the CI perf job gates
 // at >= 3x. Emits BENCH_micro_codec.json (see README
 // "Bench telemetry").
-//
-// Flags:
-//   --seed=S         data stream seed              (default 1)
-//   --rows=N         tile rows for the block paths (default 4096)
-//   --min-time-ms=T  min wall time per timed bench (default 200)
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -180,13 +175,18 @@ bool verify_block_equals_reference(protection_scheme& scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"seed", "data stream seed (default 1)"},
+       {"rows", "tile rows for the block paths (default 4096)"},
+       {"min-time-ms", "min wall time per timed bench (default 200)"}});
+  const std::uint64_t seed = args.u64("seed", 1);
+  const auto rows = static_cast<std::uint32_t>(args.u64("rows", 4096));
+  const double min_ms = args.real("min-time-ms", 200.0);
+
   bench::banner("micro_codec — protection codec throughput",
                 "encode/decode cost behind the Fig. 5 / Fig. 7 campaigns");
 
-  const std::uint64_t seed = args.get_u64("seed", 1);
-  const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
-  const double min_ms = args.get_double("min-time-ms", 200.0);
   expects(rows >= 1, "--rows must be at least 1");
 
   // ---------------------------------------------------- self-verification
@@ -417,6 +417,5 @@ int main(int argc, char** argv) {
   payload.add("speedup_decode_block_vs_scalar_hsiao", hsiao_speedups.decode);
   payload.add("speedup_encode_block_vs_scalar_bch", bch_speedups.encode);
   payload.add("speedup_decode_block_vs_scalar_bch", bch_speedups.decode);
-  bench::write_bench_json("micro_codec", payload);
-  return 0;
+  return bench::write_bench_json("micro_codec", payload);
 }

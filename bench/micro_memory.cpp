@@ -8,13 +8,6 @@
 // the reported speedup is between equivalent computations. Emits
 // BENCH_micro_memory.json (see README "Bench telemetry"); CI fails when
 // speedup_read_vs_oracle or speedup_write_vs_oracle drops below 1.
-//
-// Flags:
-//   --rows=N         array rows            (default 4096, the 16 KB array)
-//   --width=W        word width in bits    (default 32)
-//   --pcell=P        cell failure prob     (default 5e-2 — dense on purpose)
-//   --seed=S         fault map + data seed (default 1)
-//   --min-time-ms=T  min wall time per timed bench (default 200)
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -78,15 +71,21 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"rows", "array rows (default 4096, the 16 KB array)"},
+       {"width", "word width in bits (default 32)"},
+       {"pcell", "cell failure prob (default 5e-2, dense on purpose)"},
+       {"seed", "fault map + data seed (default 1)"},
+       {"min-time-ms", "min wall time per timed bench (default 200)"}});
+  const auto rows = static_cast<std::uint32_t>(args.u64("rows", 4096));
+  const auto width = static_cast<unsigned>(args.u64("width", 32));
+  const double pcell = args.real("pcell", 5e-2);
+  const std::uint64_t seed = args.u64("seed", 1);
+  const double min_ms = args.real("min-time-ms", 200.0);
+
   bench::banner("micro_memory — fault-map fast path vs per-cell oracle",
                 "hot loop of the Fig. 5 / Fig. 7 Monte-Carlo campaigns");
-
-  const auto rows = static_cast<std::uint32_t>(args.get_u64("rows", 4096));
-  const auto width = static_cast<unsigned>(args.get_u64("width", 32));
-  const double pcell = args.get_double("pcell", 5e-2);
-  const std::uint64_t seed = args.get_u64("seed", 1);
-  const double min_ms = args.get_double("min-time-ms", 200.0);
 
   const array_geometry geometry{rows, width};
   rng gen(seed);
@@ -202,6 +201,5 @@ int main(int argc, char** argv) {
   payload.add_raw("results", bench::json_array(entries));
   payload.add("speedup_read_vs_oracle", speedup_read);
   payload.add("speedup_write_vs_oracle", speedup_write);
-  bench::write_bench_json("micro_memory", payload);
-  return 0;
+  return bench::write_bench_json("micro_memory", payload);
 }

@@ -21,11 +21,6 @@
 // speedup_pca_vs_jacobi (symmetric_eigen vs jacobi_eigen on the 60 x 60
 // covariance) and speedup_knn_delta_vs_full, which the CI perf job
 // gates. Emits BENCH_micro_ml.json (see README "Bench telemetry").
-//
-// Flags:
-//   --seed=S         fault-injection seed            (default 1)
-//   --faults=N       faults per tile for the timed inputs (default 80)
-//   --min-time-ms=T  min wall time per timed bench   (default 200)
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -162,13 +157,17 @@ bool verify_against_oracles(const matrix& pca_stored, const matrix& pca_holdout,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"seed", "fault-injection seed (default 1)"},
+       {"faults", "faults per tile for the timed inputs (default 80)"},
+       {"min-time-ms", "min wall time per timed bench (default 200)"}});
+  const std::uint64_t seed = args.u64("seed", 1);
+  const std::uint64_t faults = args.u64("faults", 80);
+  const double min_ms = args.real("min-time-ms", 200.0);
+
   bench::banner("micro_ml — Fig. 7 application kernels vs reference oracles",
                 "per-trial retrain + score of the Fig. 7 quality experiment");
-
-  const std::uint64_t seed = args.get_u64("seed", 1);
-  const std::uint64_t faults = args.get_u64("faults", 80);
-  const double min_ms = args.get_double("min-time-ms", 200.0);
 
   const auto apps = make_all_applications();
   const auto pca_app = make_pca_app();
@@ -322,6 +321,5 @@ int main(int argc, char** argv) {
   payload.add("speedup_covariance_vs_reference", speedup_cov);
   payload.add("speedup_knn_vs_reference", speedup_knn);
   payload.add("speedup_knn_delta_vs_full", speedup_delta);
-  bench::write_bench_json("micro_ml", payload);
-  return 0;
+  return bench::write_bench_json("micro_ml", payload);
 }

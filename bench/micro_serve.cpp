@@ -16,13 +16,19 @@
 
 int main(int argc, char** argv) {
   using namespace urmem;
-  bench::arg_parser args(argc, argv);
+  const bench::flags args(
+      argc, argv,
+      {{"rows", "tile rows (default 4096)"},
+       {"requests", "request budget (default 200000)"},
+       {"requests-per-epoch", "requests per lifecycle epoch (default 20000)"},
+       {"clients", "client threads (default 4)"},
+       {"seed", "(default 1)"}});
 
-  const std::uint64_t rows = args.get_u64("rows", 4096);
-  const std::uint64_t requests = args.get_u64("requests", 200000);
-  const std::uint64_t per_epoch = args.get_u64("requests-per-epoch", 20000);
-  const std::uint64_t clients = args.get_u64("clients", 4);
-  const std::uint64_t seed = args.get_u64("seed", 1);
+  const std::uint64_t rows = args.u64("rows", 4096);
+  const std::uint64_t requests = args.u64("requests", 200000);
+  const std::uint64_t per_epoch = args.u64("requests-per-epoch", 20000);
+  const std::uint64_t clients = args.u64("clients", 4);
+  const std::uint64_t seed = args.u64("seed", 1);
 
   bench::banner("micro_serve: concurrent serving tier, live fault lifecycle",
                 "serving-mode subsystem (urmem-serve)");
@@ -69,6 +75,5 @@ int main(int argc, char** argv) {
       .add("stores", report.counters.stores)
       .add("readbacks", report.counters.readbacks)
       .add("quality_queries", report.counters.quality_queries);
-  bench::write_bench_json("serve", payload);
-  return 0;
+  return bench::write_bench_json("serve", payload);
 }

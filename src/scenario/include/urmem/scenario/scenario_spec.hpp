@@ -7,9 +7,9 @@
 // axes, and run parameters. Specs round-trip through JSON
 // (to_json/from_json) with diagnostics that name the offending field
 // for unknown keys and out-of-range values, and accept dotted
-// `key=value` CLI overrides — the `urmem-run` driver and the thin
-// figure-bench wrappers are both just "build a spec, hand it to
-// scenario_runner".
+// `key=value` CLI overrides. The `urmem-run` driver loads one and hands
+// it to scenario_runner; every paper figure the API covers is a
+// checked-in spec under scenarios/.
 //
 // JSON schema (all sections optional; defaults shown):
 //

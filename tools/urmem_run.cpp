@@ -1,6 +1,7 @@
 // urmem-run — the single driver of the declarative scenario API.
 //
-// One binary replaces the hand-wired experiment mains: it loads a
+// One binary runs every scenario experiment, the paper's Fig. 5, Fig. 7
+// and Table 1 included (scenarios/*.json; see README): it loads a
 // scenario_spec from a JSON file and/or dotted key=value overrides,
 // expands the sweep grid, runs the named workload over the named
 // schemes, prints the human report to stdout and (optionally) writes
@@ -21,8 +22,7 @@
 //        --shard=I/N --checkpoint-dir=DIR --max-points=K --help
 // Override shorthands: seed, threads, batch, pcell, vdd, polarity, rows
 // Region overrides: regions=<range>=<scheme,...>:<range>=... and
-// regions.<range>.<key>=value (see scenario_spec.hpp).
-// (see scenario_spec.hpp for the schema).
+// regions.<range>.<key>=value (see scenario_spec.hpp for the schema).
 //
 // Sharded campaigns: --shard=I/N runs only the grid points whose
 // expansion index is congruent to I modulo N (same expansion order as
