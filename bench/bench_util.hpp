@@ -1,6 +1,7 @@
 // Shared bench infrastructure:
 //  * flags — `--flag=value` parsing over common/cli.hpp that
-//    rejects unknown flags and malformed numbers with exit code 2;
+//    rejects unknown flags, malformed numbers and out-of-range values
+//    with exit code 2;
 //  * json_object / write_bench_json — machine-readable BENCH_<name>.json
 //    telemetry (wall time, throughput, config, git sha) that CI uploads
 //    as artifacts and gates perf regressions on;
@@ -77,6 +78,16 @@ class flags {
     return value(name, fallback, parse_spec_double);
   }
 
+  /// Exits 2 naming `--name` unless `ok`: for a value that parses but
+  /// lies outside what the bench accepts, which `expected` states.
+  void require(bool ok, std::string_view name,
+               std::string_view expected) const {
+    if (ok) return;
+    const std::string flag = "--" + std::string(name);
+    fail(spec_error(flag, "must be " + std::string(expected) + ", got " +
+                              args_.value_or(flag)));
+  }
+
  private:
   template <typename T, typename Parse>
   [[nodiscard]] T value(std::string_view name, T fallback, Parse parse) const {
@@ -85,9 +96,13 @@ class flags {
     try {
       return parse(flag, args_.value_or(flag));
     } catch (const spec_error& error) {
-      std::cerr << tool_ << ": " << error.what() << "\n";
-      std::exit(2);  // NOLINT(concurrency-mt-unsafe): as in the ctor
+      fail(error);
     }
+  }
+
+  [[noreturn]] void fail(const spec_error& error) const {
+    std::cerr << tool_ << ": " << error.what() << "\n";
+    std::exit(2);  // NOLINT(concurrency-mt-unsafe): as in the ctor
   }
 
   std::string tool_;

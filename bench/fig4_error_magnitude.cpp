@@ -1,6 +1,7 @@
 // Fig. 4 reproduction: worst-case error magnitude per faulty bit
 // position for every FM-LUT size option (nFM = 1..5) on a 32-bit
 // two's-complement word. The envelope per option is 2^(S-1), S = W/2^nFM.
+#include <bit>
 #include <cmath>
 #include <iostream>
 
@@ -12,7 +13,11 @@ int main(int argc, char** argv) {
   using namespace urmem;
   const bench::flags args(
       argc, argv, {{"width", "word width W, a power of two (default 32)"}});
-  const auto width = static_cast<unsigned>(args.u64("width", 32));
+  const std::uint64_t width_flag = args.u64("width", 32);
+  args.require(width_flag >= 2 && width_flag <= 64 &&
+                   std::has_single_bit(width_flag),
+               "width", "a power of two in [2, 64]");
+  const auto width = static_cast<unsigned>(width_flag);
   bench::banner("Fig. 4 — error magnitude per faulty bit position",
                 "Ganapathy et al., DAC'15, Fig. 4");
 

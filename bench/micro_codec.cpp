@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "urmem/common/contracts.hpp"
 #include "urmem/common/rng.hpp"
 #include "urmem/ecc/bch.hpp"
 #include "urmem/ecc/hamming_secded.hpp"
@@ -181,13 +180,15 @@ int main(int argc, char** argv) {
        {"rows", "tile rows for the block paths (default 4096)"},
        {"min-time-ms", "min wall time per timed bench (default 200)"}});
   const std::uint64_t seed = args.u64("seed", 1);
-  const auto rows = static_cast<std::uint32_t>(args.u64("rows", 4096));
+  const std::uint64_t rows_flag = args.u64("rows", 4096);
+  args.require(rows_flag >= 1 && rows_flag <= array_geometry::max_rows,
+               "rows",
+               "in [1, " + std::to_string(array_geometry::max_rows) + "]");
+  const auto rows = static_cast<std::uint32_t>(rows_flag);
   const double min_ms = args.real("min-time-ms", 200.0);
 
   bench::banner("micro_codec — protection codec throughput",
                 "encode/decode cost behind the Fig. 5 / Fig. 7 campaigns");
-
-  expects(rows >= 1, "--rows must be at least 1");
 
   // ---------------------------------------------------- self-verification
   for (const unsigned data_bits : {8u, 16u, 32u, 57u}) {

@@ -85,8 +85,9 @@ class option_map {
 
 /// Splits comma-separated text into its non-empty items — the one
 /// list syntax shared by option values, CLI scheme lists and sweep
-/// value overrides.
-[[nodiscard]] std::vector<std::string> split_csv(std::string_view text);
+/// value overrides (and, split on ':', the regions= region list).
+[[nodiscard]] std::vector<std::string> split_csv(std::string_view text,
+                                                 char separator = ',');
 
 /// Splits a comma-separated list of compact scheme entries — the one
 /// scheme-list syntax of urmem-run's schemes= override and

@@ -46,6 +46,10 @@
 // optional spare-row pool, and optional fault operating-point override
 // (heterogeneous-reliability tiers); it resolves into one extra
 // `tiered` scheme entry appended to the comparison set.
+// Each section's fields are listed once, in a field table per section in
+// scenario_spec.cpp (key, member, bounds, emit rule) that parsing, the
+// normal form and the compact region keys all read: adding a field is
+// one table row next to its struct member.
 #pragma once
 
 #include <cstdint>
@@ -223,7 +227,8 @@ struct compact_region_value {
 };
 
 /// Parses a compact region value; throws spec_error blaming `field` on
-/// a missing scheme name or an out-of-range reserved key.
+/// a missing scheme name or an out-of-range reserved key (bounded like
+/// the JSON region members; spare_rows=0 is left unset, as absent).
 [[nodiscard]] compact_region_value parse_compact_region_value(
     std::string_view field, std::string_view text);
 
@@ -296,6 +301,20 @@ struct scenario_spec {
   /// storage_config matching the geometry (plus optional spare rows).
   [[nodiscard]] storage_config storage(std::uint32_t spare_rows = 0) const;
 };
+
+/// to_json() without `sweep`: the base document each grid point reparses.
+[[nodiscard]] json_value sweep_base_json(const scenario_spec& spec);
+
+/// One section as to_json emits it, but even at its defaults.
+[[nodiscard]] json_value section_to_json(const scrub_spec& scrub);
+[[nodiscard]] json_value section_to_json(const retire_spec& retire);
+
+/// The urmem-run/urmem-serve spec: the JSON file in `spec_files` (at
+/// most one; none starts from `{}`), each dotted override in order, then
+/// from_json. A bad file list, file or JSON text is a spec_error.
+[[nodiscard]] scenario_spec load_spec(
+    const std::vector<std::string>& spec_files,
+    const std::vector<std::pair<std::string, std::string>>& overrides);
 
 /// Applies one dotted `key=value` CLI override onto a spec JSON
 /// document. Top-level aliases: seed -> seeds.root, threads ->

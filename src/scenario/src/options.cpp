@@ -105,17 +105,17 @@ bool option_map::get_bool(std::string_view key, bool fallback) const {
                    "expected a boolean, got \"" + *value + "\"");
 }
 
-std::vector<std::string> split_csv(std::string_view text) {
+std::vector<std::string> split_csv(std::string_view text, char separator) {
   std::vector<std::string> items;
   std::size_t start = 0;
   while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string_view item = comma == std::string_view::npos
+    const std::size_t end = text.find(separator, start);
+    const std::string_view item = end == std::string_view::npos
                                       ? text.substr(start)
-                                      : text.substr(start, comma - start);
+                                      : text.substr(start, end - start);
     if (!item.empty()) items.emplace_back(item);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
+    if (end == std::string_view::npos) break;
+    start = end + 1;
   }
   return items;
 }

@@ -86,16 +86,7 @@ scenario_report scenario_runner::run(std::ostream& text_out,
   // The base document carries everything but the sweep; each grid point
   // re-parses its overridden copy so axis paths get exactly the same
   // validation (and field-naming diagnostics) as hand-written specs.
-  json_value base = spec_.to_json();
-  if (base.find("sweep") != nullptr) {
-    auto& members = base.as_object();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (members[i].first == "sweep") {
-        members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
-        break;
-      }
-    }
-  }
+  const json_value base = sweep_base_json(spec_);
 
   scenario_report report;
   report.spec = spec_.to_json();

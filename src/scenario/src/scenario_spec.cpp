@@ -1,7 +1,10 @@
 #include "urmem/scenario/scenario_spec.hpp"
 
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
+#include "urmem/common/fs.hpp"
 #include "urmem/common/hash.hpp"
 
 namespace urmem {
@@ -112,11 +115,6 @@ json_value entry_to_json(const std::string& name, const option_map& options) {
   return entry;
 }
 
-double get_number(const json_value& value, const std::string& field) {
-  if (!value.is_number()) throw spec_error(field, "expected a number");
-  return value.as_double();
-}
-
 std::uint64_t get_u64_checked(const json_value& value, const std::string& field) {
   try {
     return value.as_u64();
@@ -131,37 +129,252 @@ const std::string& get_string_checked(const json_value& value,
   return value.as_string();
 }
 
-const json_value& get_object_checked(const json_value& value,
-                                     const std::string& field) {
-  if (!value.is_object()) throw spec_error(field, "expected an object");
-  return value;
-}
+// ------------------------------------------------------------ field tables
+//
+// Each spec section lists its fields once, in to_json order: the JSON
+// key, the member it lands in, how the JSON value decodes (type and
+// bounds, with their diagnostic) and when to_json emits it. from_json,
+// to_json, the compact region grammar and the lifecycle echo all walk
+// these rows, so adding a field is adding one row.
 
-unsigned get_bounded_unsigned(const json_value& value, const std::string& field,
-                              std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t v = get_u64_checked(value, field);
-  if (v < lo || v > hi) {
-    throw spec_error(field, "must be in [" + std::to_string(lo) + ", " +
-                                std::to_string(hi) + "], got " +
-                                std::to_string(v));
+/// When to_json emits a field or a whole section: always, or only when
+/// it differs from its default (for an optional member: when set).
+enum class emit_rule : std::uint8_t { always, unless_default };
+
+// Decoders: `field` is blamed on failure; `subject` prefixes range
+// messages for callers that blame an enclosing field instead.
+
+/// Unsigned integer in [lo, hi], stored in 32 bits.
+struct u32_in {
+  std::uint32_t lo;
+  std::uint32_t hi;
+
+  std::uint32_t operator()(const json_value& value, const std::string& field,
+                           std::string_view subject) const {
+    const std::uint64_t v = get_u64_checked(value, field);
+    if (v < lo || v > hi) {
+      throw spec_error(field, std::string(subject) + "must be in [" +
+                                  std::to_string(lo) + ", " +
+                                  std::to_string(hi) + "], got " +
+                                  std::to_string(v));
+    }
+    return static_cast<std::uint32_t>(v);
   }
-  return static_cast<unsigned>(v);
+};
+
+std::uint64_t any_u64(const json_value& value, const std::string& field,
+                      std::string_view /*subject*/) {
+  return get_u64_checked(value, field);
 }
 
-void parse_geometry(const json_value& doc, geometry_spec& geometry) {
+/// Real number in an interval. `text` states the interval in
+/// diagnostics, and its brackets say which ends are open: "[0, 1)",
+/// "(0, 2] volts".
+struct real_in {
+  double lo;
+  double hi;
+  std::string_view text;
+
+  double operator()(const json_value& value, const std::string& field,
+                    std::string_view subject) const {
+    if (!value.is_number()) throw spec_error(field, "expected a number");
+    const double v = value.as_double();
+    const bool above_lo = text.front() == '(' ? v > lo : v >= lo;
+    const bool below_hi =
+        text.find(')') != std::string_view::npos ? v < hi : v <= hi;
+    if (!above_lo || !below_hi) {
+      throw spec_error(field, std::string(subject) + "must be in " +
+                                  std::string(text) + ", got " +
+                                  value.dump(0));
+    }
+    return v;
+  }
+};
+
+bool boolean(const json_value& value, const std::string& field,
+             std::string_view /*subject*/) {
+  if (!value.is_bool()) throw spec_error(field, "expected a boolean");
+  return value.as_bool();
+}
+
+/// One of an enum's names, parsed by `parse`.
+template <typename E>
+struct one_of {
+  std::optional<E> (*parse)(std::string_view);
+  std::string_view noun;   ///< "polarity"
+  std::string_view valid;  ///< every name, for the diagnostic
+
+  E operator()(const json_value& value, const std::string& field,
+               std::string_view /*subject*/) const {
+    const std::string& name = get_string_checked(value, field);
+    const std::optional<E> parsed = parse(name);
+    if (!parsed.has_value()) {
+      throw spec_error(field, "unknown " + std::string(noun) + " \"" + name +
+                                  "\" (valid: " + std::string(valid) + ")");
+    }
+    return *parsed;
+  }
+};
+
+/// One row of a section's field table.
+template <typename S, typename T, typename Decode>
+struct field_row {
+  std::string_view key;
+  T S::*member;
+  Decode decode;
+  emit_rule emit = emit_rule::always;
+};
+
+template <typename T>
+json_value field_json(const T& value) {
+  if constexpr (std::is_enum_v<T>) return std::string(to_string(value));
+  else if constexpr (std::is_same_v<T, std::optional<double>>) return *value;
+  else return json_value(value);
+}
+
+/// Calls `fn` on every row of `fields`, in order.
+template <typename Fields, typename Fn>
+void for_each_row(const Fields& fields, Fn&& fn) {
+  std::apply([&](const auto&... row) { (fn(row), ...); }, fields);
+}
+
+/// Calls `fn` on the row of `fields` keyed `key`; false when none is.
+template <typename Fields, typename Fn>
+bool with_row(const Fields& fields, std::string_view key, Fn&& fn) {
+  const auto visit = [&](const auto& row) {
+    if (row.key != key) return false;
+    fn(row);
+    return true;
+  };
+  return std::apply([&](const auto&... row) { return (visit(row) || ...); },
+                    fields);
+}
+
+/// Decodes `value` into the member of `out` keyed `key`, blaming
+/// `field`; false when `fields` has no such key.
+template <typename S, typename Fields>
+bool read_field(const Fields& fields, std::string_view key,
+                const json_value& value, const std::string& field, S& out) {
+  return with_row(fields, key, [&](const auto& row) {
+    out.*row.member = row.decode(value, field, {});
+  });
+}
+
+/// Parses every member of `doc` into `out`; `context` prefixes the
+/// field names that diagnostics blame.
+template <typename S, typename Fields>
+void read_fields(const json_value& doc, const std::string& context,
+                 const Fields& fields, S& out) {
   for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "geometry." + key;
-    if (key == "rows_per_tile") {
-      geometry.rows_per_tile =
-          get_bounded_unsigned(value, field, 1, array_geometry::max_rows);
-    } else if (key == "word_bits") {
-      geometry.word_bits = get_bounded_unsigned(value, field, 1, 64);
-    } else if (key == "frac_bits") {
-      geometry.frac_bits = get_bounded_unsigned(value, field, 0, 63);
-    } else {
+    const std::string field = context + "." + key;
+    if (!read_field(fields, key, value, field, out)) {
       throw spec_error(field, "unknown field");
     }
   }
+}
+
+/// Sets each field of `in` on `out` that its row's emit rule selects.
+template <typename S, typename Fields>
+void write_fields(const Fields& fields, const S& in, json_value& out) {
+  for_each_row(fields, [&](const auto& row) {
+    if (row.emit == emit_rule::always || in.*row.member != S{}.*row.member) {
+      out.set(row.key, field_json(in.*row.member));
+    }
+  });
+}
+
+template <typename S, typename Fields>
+bool fields_at_default(const Fields& fields, const S& in) {
+  bool at_default = true;
+  for_each_row(fields, [&](const auto& row) {
+    at_default = at_default && in.*row.member == S{}.*row.member;
+  });
+  return at_default;
+}
+
+/// Bound of the row and fault counts a spec may ask for.
+constexpr std::uint32_t max_count = 1u << 22;
+
+/// The operating point of the fault section and of each region.
+/// Presence is explicit, so 0 is a valid (fault-free) Pcell.
+template <typename S>
+constexpr auto operating_point_fields = std::tuple{
+    field_row{"pcell", &S::pcell, real_in{0.0, 1.0, "[0, 1)"},
+              emit_rule::unless_default},
+    field_row{"vdd", &S::vdd, real_in{0.0, 2.0, "(0, 2] volts"},
+              emit_rule::unless_default}};
+
+constexpr auto geometry_fields = std::tuple{
+    field_row{"rows_per_tile", &geometry_spec::rows_per_tile,
+              u32_in{1, array_geometry::max_rows}},
+    field_row{"word_bits", &geometry_spec::word_bits, u32_in{1, 64}},
+    field_row{"frac_bits", &geometry_spec::frac_bits, u32_in{0, 63}}};
+
+constexpr auto fault_fields = std::tuple_cat(
+    operating_point_fields<fault_spec>,
+    std::tuple{
+        field_row{"polarity", &fault_spec::polarity,
+                  one_of<fault_polarity>{parse_fault_polarity, "polarity",
+                                         "flip, random-stuck, mixed"}},
+        field_row{"vcrit_mean", &fault_spec::vcrit_mean,
+                  real_in{0.0, 2.0, "[0, 2] volts"}},
+        field_row{"vcrit_sigma", &fault_spec::vcrit_sigma,
+                  real_in{0.0, 1.0, "[0, 1] volts"}},
+        field_row{"model_seed", &fault_spec::model_seed, any_u64},
+        // Emitted only when aging is in play, so pre-lifecycle specs
+        // keep normalizing byte-identically.
+        field_row{"age_hours", &fault_spec::age_hours,
+                  real_in{0.0, 1e9, "[0, 1e9] hours"},
+                  emit_rule::unless_default}});
+
+constexpr auto seed_fields =
+    std::tuple{field_row{"root", &seed_spec::root, any_u64},
+               field_row{"app", &seed_spec::app, any_u64}};
+
+constexpr auto run_fields =
+    std::tuple{field_row{"threads", &run_spec::threads, u32_in{0, 4096}},
+               field_row{"batch", &run_spec::batch, any_u64}};
+
+constexpr auto scrub_fields = std::tuple{
+    field_row{"interval", &scrub_spec::interval, u32_in{0, max_count}},
+    field_row{"rows_per_pass", &scrub_spec::rows_per_pass,
+              u32_in{0, max_count}},
+    field_row{"retire_correctable", &scrub_spec::retire_correctable,
+              boolean}};
+
+constexpr auto retire_fields = std::tuple{
+    field_row{"policy", &retire_spec::policy,
+              one_of<degrade_policy>{parse_degrade_policy, "policy",
+                                     "mark, remap, failstop"}},
+    field_row{"max_retries", &retire_spec::max_retries, u32_in{0, 100}},
+    field_row{"spare_rows", &retire_spec::spare_rows, u32_in{0, max_count}},
+    // Checked against the actual region count at workload-build time;
+    // the region table may not even be parsed yet here.
+    field_row{"reliable_region", &retire_spec::reliable_region,
+              u32_in{0, 255}}};
+
+constexpr auto serve_fields = std::tuple{
+    field_row{"clients", &serve_spec::clients, u32_in{1, 4096}},
+    field_row{"requests", &serve_spec::requests, any_u64},
+    field_row{"requests_per_epoch", &serve_spec::requests_per_epoch,
+              any_u64},
+    field_row{"store_percent", &serve_spec::store_percent, u32_in{0, 100}},
+    field_row{"quality_percent", &serve_spec::quality_percent,
+              u32_in{0, 100}},
+    field_row{"initial_faults", &serve_spec::initial_faults, any_u64},
+    field_row{"arrivals_per_epoch", &serve_spec::arrivals_per_epoch,
+              u32_in{0, max_count}},
+    field_row{"intermittent_cells", &serve_spec::intermittent_cells,
+              u32_in{0, max_count}}};
+
+/// A region's scalar members; "rows" and "scheme" are parsed apart. These
+/// are also the reserved keys of the compact region grammar.
+constexpr auto region_fields = std::tuple_cat(
+    std::tuple{field_row{"spare_rows", &region_spec::spare_rows,
+                         u32_in{0, max_count}, emit_rule::unless_default}},
+    operating_point_fields<region_spec>);
+
+void check_geometry(const geometry_spec& geometry) {
   if (geometry.frac_bits >= geometry.word_bits) {
     throw spec_error("geometry.frac_bits",
                      "must be smaller than geometry.word_bits (" +
@@ -170,156 +383,69 @@ void parse_geometry(const json_value& doc, geometry_spec& geometry) {
   }
 }
 
-/// Shared range checks for the spec-level and per-region operating
-/// points; presence is explicit, so 0 is a valid (fault-free) Pcell.
-double checked_pcell(const json_value& value, const std::string& field) {
-  const double pcell = get_number(value, field);
-  if (pcell < 0.0 || pcell >= 1.0) {
-    throw spec_error(field, "must be in [0, 1), got " + value.dump(0));
-  }
-  return pcell;
-}
-
-double checked_vdd(const json_value& value, const std::string& field) {
-  const double vdd = get_number(value, field);
-  if (vdd <= 0.0 || vdd > 2.0) {
-    throw spec_error(field, "must be in (0, 2] volts, got " + value.dump(0));
-  }
-  return vdd;
-}
-
-void parse_fault(const json_value& doc, fault_spec& fault) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "fault." + key;
-    if (key == "pcell") {
-      fault.pcell = checked_pcell(value, field);
-    } else if (key == "vdd") {
-      fault.vdd = checked_vdd(value, field);
-    } else if (key == "polarity") {
-      const std::string name = get_string_checked(value, field);
-      const auto polarity = parse_fault_polarity(name);
-      if (!polarity.has_value()) {
-        throw spec_error(field, "unknown polarity \"" + name +
-                                    "\" (valid: flip, random-stuck, mixed)");
-      }
-      fault.polarity = *polarity;
-    } else if (key == "vcrit_mean") {
-      fault.vcrit_mean = get_number(value, field);
-      if (fault.vcrit_mean < 0.0 || fault.vcrit_mean > 2.0) {
-        throw spec_error(field, "must be in [0, 2] volts, got " + value.dump(0));
-      }
-    } else if (key == "vcrit_sigma") {
-      fault.vcrit_sigma = get_number(value, field);
-      if (fault.vcrit_sigma < 0.0 || fault.vcrit_sigma > 1.0) {
-        throw spec_error(field, "must be in [0, 1] volts, got " + value.dump(0));
-      }
-    } else if (key == "model_seed") {
-      fault.model_seed = get_u64_checked(value, field);
-    } else if (key == "age_hours") {
-      fault.age_hours = get_number(value, field);
-      if (fault.age_hours < 0.0 || fault.age_hours > 1e9) {
-        throw spec_error(field, "must be in [0, 1e9] hours, got " + value.dump(0));
-      }
-    } else {
-      throw spec_error(field, "unknown field");
-    }
-  }
-}
-
-void parse_scrub(const json_value& doc, scrub_spec& scrub) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "scrub." + key;
-    if (key == "interval") {
-      scrub.interval = get_bounded_unsigned(value, field, 0, 1u << 22);
-    } else if (key == "rows_per_pass") {
-      scrub.rows_per_pass = get_bounded_unsigned(value, field, 0, 1u << 22);
-    } else if (key == "retire_correctable") {
-      if (!value.is_bool()) throw spec_error(field, "expected a boolean");
-      scrub.retire_correctable = value.as_bool();
-    } else {
-      throw spec_error(field, "unknown field");
-    }
-  }
-}
-
-void parse_retire(const json_value& doc, retire_spec& retire) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "retire." + key;
-    if (key == "policy") {
-      const std::string name = get_string_checked(value, field);
-      const auto policy = parse_degrade_policy(name);
-      if (!policy.has_value()) {
-        throw spec_error(field, "unknown policy \"" + name +
-                                    "\" (valid: mark, remap, failstop)");
-      }
-      retire.policy = *policy;
-    } else if (key == "max_retries") {
-      retire.max_retries = get_bounded_unsigned(value, field, 0, 100);
-    } else if (key == "spare_rows") {
-      retire.spare_rows = get_bounded_unsigned(value, field, 0, 1u << 22);
-    } else if (key == "reliable_region") {
-      // Checked against the actual region count at workload-build time;
-      // the region table may not even be parsed yet here.
-      retire.reliable_region = get_bounded_unsigned(value, field, 0, 255);
-    } else {
-      throw spec_error(field, "unknown field");
-    }
-  }
-}
-
-void parse_serve(const json_value& doc, serve_spec& serve) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "serve." + key;
-    if (key == "clients") {
-      serve.clients = get_bounded_unsigned(value, field, 1, 4096);
-    } else if (key == "requests") {
-      serve.requests = get_u64_checked(value, field);
-    } else if (key == "requests_per_epoch") {
-      serve.requests_per_epoch = get_u64_checked(value, field);
-    } else if (key == "store_percent") {
-      serve.store_percent = get_bounded_unsigned(value, field, 0, 100);
-    } else if (key == "quality_percent") {
-      serve.quality_percent = get_bounded_unsigned(value, field, 0, 100);
-    } else if (key == "initial_faults") {
-      serve.initial_faults = get_u64_checked(value, field);
-    } else if (key == "arrivals_per_epoch") {
-      serve.arrivals_per_epoch = get_bounded_unsigned(value, field, 0, 1u << 22);
-    } else if (key == "intermittent_cells") {
-      serve.intermittent_cells = get_bounded_unsigned(value, field, 0, 1u << 22);
-    } else {
-      throw spec_error(field, "unknown field");
-    }
-  }
+void check_serve(const serve_spec& serve) {
   if (serve.store_percent + serve.quality_percent > 100) {
     throw spec_error("serve.store_percent",
                      "store_percent + quality_percent must not exceed 100");
   }
 }
 
-void parse_seeds(const json_value& doc, seed_spec& seeds) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "seeds." + key;
-    if (key == "root") {
-      seeds.root = get_u64_checked(value, field);
-    } else if (key == "app") {
-      seeds.app = get_u64_checked(value, field);
-    } else {
-      throw spec_error(field, "unknown field");
-    }
-  }
-}
+/// One section of the spec: its key, its field table, whether to_json
+/// omits it at its defaults, and a cross-field check run after parsing.
+template <typename S, typename Fields>
+struct section_row {
+  std::string_view key;
+  S scenario_spec::*member;
+  Fields fields;
+  emit_rule emit = emit_rule::always;
+  void (*check)(const S&) = nullptr;
+};
 
-void parse_run(const json_value& doc, run_spec& run) {
-  for (const auto& [key, value] : doc.as_object()) {
-    const std::string field = "run." + key;
-    if (key == "threads") {
-      run.threads = get_bounded_unsigned(value, field, 0, 4096);
-    } else if (key == "batch") {
-      run.batch = get_u64_checked(value, field);
-    } else {
-      throw spec_error(field, "unknown field");
-    }
+/// The sections in to_json order. scrub, retire and serve stay out of
+/// the normal form at their defaults, so specs that never mention them
+/// round-trip unchanged.
+constexpr auto sections = std::tuple{
+    section_row{"geometry", &scenario_spec::geometry, geometry_fields,
+                emit_rule::always, check_geometry},
+    section_row{"fault", &scenario_spec::fault, fault_fields},
+    section_row{"seeds", &scenario_spec::seeds, seed_fields},
+    section_row{"run", &scenario_spec::run, run_fields},
+    section_row{"scrub", &scenario_spec::scrub, scrub_fields,
+                emit_rule::unless_default},
+    section_row{"retire", &scenario_spec::retire, retire_fields,
+                emit_rule::unless_default},
+    section_row{"serve", &scenario_spec::serve, serve_fields,
+                emit_rule::unless_default, check_serve}};
+
+/// Splits a compact region value ("secded,nfm=2,spare_rows=4") into the
+/// region members it sets, decoded and range-checked by the region
+/// table but blamed on `field`, and returns the rest re-joined as the
+/// scheme's compact form.
+std::string parse_compact_region(std::string_view field, std::string_view text,
+                                 region_spec& region) {
+  const std::string blame(field);
+  std::string scheme;
+  for (const std::string& token : split_csv(text)) {
+    const std::size_t eq = token.find('=');
+    const std::string_view key = std::string_view(token).substr(0, eq);
+    const bool reserved = with_row(region_fields, key, [&](const auto& row) {
+      if (eq == std::string::npos) {
+        throw spec_error(blame, std::string(key) + " needs a value");
+      }
+      // The text parses as the member's JSON type, then decodes (and
+      // range-checks) exactly like a JSON region member.
+      const std::string_view raw = std::string_view(token).substr(eq + 1);
+      using T = std::remove_reference_t<decltype(region.*row.member)>;
+      const json_value parsed = std::is_same_v<T, std::uint32_t>
+                                    ? json_value(parse_spec_u64(field, raw))
+                                    : json_value(parse_spec_double(field, raw));
+      region.*row.member = row.decode(parsed, blame, std::string(key) + " ");
+    });
+    // Scheme name first, then its options, re-joined in compact form.
+    if (!reserved) scheme += scheme.empty() ? token : ":" + token;
   }
+  if (scheme.empty()) throw spec_error(blame, "region names no scheme");
+  return scheme;
 }
 
 void parse_sweep(const json_value& doc, std::vector<sweep_axis>& sweep) {
@@ -372,13 +498,7 @@ void parse_regions(const json_value& doc, std::vector<region_spec>& regions) {
       } else if (key == "scheme") {
         parse_entry(value, context + ".scheme", region.scheme.name,
                     region.scheme.options);
-      } else if (key == "spare_rows") {
-        region.spare_rows = get_bounded_unsigned(value, field, 0, 1u << 22);
-      } else if (key == "pcell") {
-        region.pcell = checked_pcell(value, field);
-      } else if (key == "vdd") {
-        region.vdd = checked_vdd(value, field);
-      } else {
+      } else if (!read_field(region_fields, key, value, field, region)) {
         throw spec_error(field, "unknown field");
       }
     }
@@ -398,14 +518,7 @@ void parse_regions(const json_value& doc, std::vector<region_spec>& regions) {
 /// any pool spawns or partial output is written — naming the axis.
 void validate_sweep_axes(const scenario_spec& spec) {
   if (spec.sweep.empty()) return;
-  json_value base = spec.to_json();
-  auto& members = base.as_object();
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i].first == "sweep") {
-      members.erase(members.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
+  const json_value base = sweep_base_json(spec);
   for (std::size_t i = 0; i < spec.sweep.size(); ++i) {
     const sweep_axis& axis = spec.sweep[i];
     const std::string context = "sweep[" + std::to_string(i) + "]";
@@ -441,47 +554,12 @@ scheme_ref parse_compact_scheme(std::string_view text,
 
 compact_region_value parse_compact_region_value(std::string_view field,
                                                 std::string_view text) {
+  region_spec region;
   compact_region_value value;
-  for (const std::string& token : split_csv(text)) {
-    const std::size_t eq = token.find('=');
-    const std::string key = eq == std::string::npos ? token : token.substr(0, eq);
-    if (key == "spare_rows" || key == "pcell" || key == "vdd") {
-      if (eq == std::string::npos) {
-        throw spec_error(std::string(field), key + " needs a value");
-      }
-      const std::string raw = token.substr(eq + 1);
-      if (key == "spare_rows") {
-        // Bounded like the JSON path — no silent 32-bit wrap-around.
-        const std::uint64_t spares = parse_spec_u64(field, raw);
-        if (spares > (1u << 22)) {
-          throw spec_error(std::string(field),
-                           "spare_rows must be at most " +
-                               std::to_string(1u << 22) + ", got " + raw);
-        }
-        value.spare_rows = static_cast<std::uint32_t>(spares);
-      } else if (key == "pcell") {
-        const double pcell = parse_spec_double(field, raw);
-        if (pcell < 0.0 || pcell >= 1.0) {
-          throw spec_error(std::string(field),
-                           "pcell must be in [0, 1), got " + raw);
-        }
-        value.pcell = pcell;
-      } else {
-        const double vdd = parse_spec_double(field, raw);
-        if (vdd <= 0.0 || vdd > 2.0) {
-          throw spec_error(std::string(field),
-                           "vdd must be in (0, 2] volts, got " + raw);
-        }
-        value.vdd = vdd;
-      }
-      continue;
-    }
-    // Scheme name first, then its options, re-joined in compact form.
-    value.scheme += value.scheme.empty() ? token : ":" + token;
-  }
-  if (value.scheme.empty()) {
-    throw spec_error(std::string(field), "region names no scheme");
-  }
+  value.scheme = parse_compact_region(field, text, region);
+  if (region.spare_rows != 0) value.spare_rows = region.spare_rows;
+  value.pcell = region.pcell;
+  value.vdd = region.vdd;
   return value;
 }
 
@@ -565,22 +643,15 @@ scenario_spec scenario_spec::from_json(const json_value& doc) {
   if (!doc.is_object()) throw spec_error("(root)", "spec must be a JSON object");
   scenario_spec spec;
   for (const auto& [key, value] : doc.as_object()) {
+    const bool section = with_row(sections, key, [&](const auto& row) {
+      auto& out = spec.*row.member;
+      if (!value.is_object()) throw spec_error(key, "expected an object");
+      read_fields(value, key, row.fields, out);
+      if (row.check != nullptr) row.check(out);
+    });
+    if (section) continue;
     if (key == "name") {
       spec.name = get_string_checked(value, "name");
-    } else if (key == "geometry") {
-      parse_geometry(get_object_checked(value, "geometry"), spec.geometry);
-    } else if (key == "fault") {
-      parse_fault(get_object_checked(value, "fault"), spec.fault);
-    } else if (key == "seeds") {
-      parse_seeds(get_object_checked(value, "seeds"), spec.seeds);
-    } else if (key == "run") {
-      parse_run(get_object_checked(value, "run"), spec.run);
-    } else if (key == "scrub") {
-      parse_scrub(get_object_checked(value, "scrub"), spec.scrub);
-    } else if (key == "retire") {
-      parse_retire(get_object_checked(value, "retire"), spec.retire);
-    } else if (key == "serve") {
-      parse_serve(get_object_checked(value, "serve"), spec.serve);
     } else if (key == "schemes") {
       if (!value.is_array()) throw spec_error("schemes", "expected an array");
       const auto& entries = value.as_array();
@@ -623,65 +694,14 @@ json_value scenario_spec::to_json() const {
   json_value doc = json_value::make_object();
   doc.set("name", name);
 
-  json_value g = json_value::make_object();
-  g.set("rows_per_tile", geometry.rows_per_tile);
-  g.set("word_bits", geometry.word_bits);
-  g.set("frac_bits", geometry.frac_bits);
-  doc.set("geometry", std::move(g));
-
-  json_value f = json_value::make_object();
-  // Absent operating points stay absent (an emitted 0 would turn the
-  // unset state into "inject zero faults" on reparse).
-  if (fault.pcell.has_value()) f.set("pcell", *fault.pcell);
-  if (fault.vdd.has_value()) f.set("vdd", *fault.vdd);
-  f.set("polarity", std::string(to_string(fault.polarity)));
-  f.set("vcrit_mean", fault.vcrit_mean);
-  f.set("vcrit_sigma", fault.vcrit_sigma);
-  f.set("model_seed", fault.model_seed);
-  // Emitted only when aging is in play, like the optional sections
-  // below: pre-lifecycle specs keep normalizing byte-identically.
-  if (fault.age_hours > 0.0) f.set("age_hours", fault.age_hours);
-  doc.set("fault", std::move(f));
-
-  json_value s = json_value::make_object();
-  s.set("root", seeds.root);
-  s.set("app", seeds.app);
-  doc.set("seeds", std::move(s));
-
-  json_value r = json_value::make_object();
-  r.set("threads", run.threads);
-  r.set("batch", run.batch);
-  doc.set("run", std::move(r));
-
-  if (scrub != scrub_spec{}) {
-    json_value sc = json_value::make_object();
-    sc.set("interval", scrub.interval);
-    sc.set("rows_per_pass", scrub.rows_per_pass);
-    sc.set("retire_correctable", scrub.retire_correctable);
-    doc.set("scrub", std::move(sc));
-  }
-
-  if (retire != retire_spec{}) {
-    json_value rt = json_value::make_object();
-    rt.set("policy", std::string(to_string(retire.policy)));
-    rt.set("max_retries", retire.max_retries);
-    rt.set("spare_rows", retire.spare_rows);
-    rt.set("reliable_region", retire.reliable_region);
-    doc.set("retire", std::move(rt));
-  }
-
-  if (serve != serve_spec{}) {
-    json_value sv = json_value::make_object();
-    sv.set("clients", serve.clients);
-    sv.set("requests", serve.requests);
-    sv.set("requests_per_epoch", serve.requests_per_epoch);
-    sv.set("store_percent", serve.store_percent);
-    sv.set("quality_percent", serve.quality_percent);
-    sv.set("initial_faults", serve.initial_faults);
-    sv.set("arrivals_per_epoch", serve.arrivals_per_epoch);
-    sv.set("intermittent_cells", serve.intermittent_cells);
-    doc.set("serve", std::move(sv));
-  }
+  for_each_row(sections, [&](const auto& row) {
+    const auto& in = this->*row.member;
+    if (row.emit == emit_rule::always || !fields_at_default(row.fields, in)) {
+      json_value fields = json_value::make_object();
+      write_fields(row.fields, in, fields);
+      doc.set(row.key, std::move(fields));
+    }
+  });
 
   json_value scheme_list = json_value::make_array();
   for (const scheme_ref& ref : schemes) {
@@ -696,9 +716,7 @@ json_value scenario_spec::to_json() const {
       entry.set("rows", region.range_label());
       entry.set("scheme",
                 entry_to_json(region.scheme.name, region.scheme.options));
-      if (region.spare_rows != 0) entry.set("spare_rows", region.spare_rows);
-      if (region.pcell.has_value()) entry.set("pcell", *region.pcell);
-      if (region.vdd.has_value()) entry.set("vdd", *region.vdd);
+      write_fields(region_fields, region, entry);
       region_list.push_back(std::move(entry));
     }
     doc.set("regions", std::move(region_list));
@@ -725,6 +743,50 @@ json_value scenario_spec::to_json() const {
 
 std::string scenario_spec::canonical_hash() const {
   return to_hex16(fnv1a64(to_json().dump()));
+}
+
+json_value sweep_base_json(const scenario_spec& spec) {
+  json_value doc = spec.to_json();
+  std::erase_if(doc.as_object(),
+                [](const auto& member) { return member.first == "sweep"; });
+  return doc;
+}
+
+json_value section_to_json(const scrub_spec& scrub) {
+  json_value doc = json_value::make_object();
+  write_fields(scrub_fields, scrub, doc);
+  return doc;
+}
+
+json_value section_to_json(const retire_spec& retire) {
+  json_value doc = json_value::make_object();
+  write_fields(retire_fields, retire, doc);
+  return doc;
+}
+
+scenario_spec load_spec(
+    const std::vector<std::string>& spec_files,
+    const std::vector<std::pair<std::string, std::string>>& overrides) {
+  if (spec_files.size() > 1) {
+    throw spec_error("spec", "more than one spec file given ('" +
+                                 spec_files[0] + "' and '" + spec_files[1] +
+                                 "')");
+  }
+  json_value doc = json_value::make_object();
+  if (!spec_files.empty()) {
+    const std::string& path = spec_files[0];
+    const std::optional<std::string> text = read_file(path);
+    if (!text.has_value()) throw spec_error(path, "cannot read the file");
+    try {
+      doc = json_value::parse(*text);
+    } catch (const json_parse_error& error) {
+      throw spec_error(path, error.what());
+    }
+  }
+  for (const auto& [key, value] : overrides) {
+    apply_spec_override(doc, key, value);
+  }
+  return scenario_spec::from_json(doc);
 }
 
 cell_failure_model scenario_spec::failure_model() const {
@@ -785,16 +847,44 @@ json_value compact_region_to_json(std::string_view text,
   const std::string range(text.substr(0, eq));
   (void)parse_row_range(context, range);  // early, caller-blamed check
 
+  region_spec region;
+  const std::string scheme = parse_compact_region(
+      context + " \"" + range + "\"", text.substr(eq + 1), region);
   json_value entry = json_value::make_object();
   entry.set("rows", range);
-  const compact_region_value tokens =
-      parse_compact_region_value(context + " \"" + range + "\"",
-                                 text.substr(eq + 1));
-  entry.set("scheme", tokens.scheme);
-  if (tokens.spare_rows.has_value()) entry.set("spare_rows", *tokens.spare_rows);
-  if (tokens.pcell.has_value()) entry.set("pcell", *tokens.pcell);
-  if (tokens.vdd.has_value()) entry.set("vdd", *tokens.vdd);
+  entry.set("scheme", scheme);
+  write_fields(region_fields, region, entry);
   return entry;
+}
+
+/// The entry of the array `doc[list]` whose string member `id_key` is
+/// `id`; the array and an entry {id_key: id} are appended on demand.
+json_value& list_entry(json_value& doc, std::string_view list,
+                       std::string_view id_key, std::string_view id) {
+  auto* entries = const_cast<json_value*>(doc.find(list));
+  if (entries == nullptr || !entries->is_array()) {
+    entries = &doc.set(list, json_value::make_array());
+  }
+  for (json_value& entry : entries->as_array()) {
+    const json_value* member = entry.find(id_key);
+    if (member != nullptr && member->is_string() && member->as_string() == id) {
+      return entry;
+    }
+  }
+  json_value entry = json_value::make_object();
+  entry.set(id_key, id);
+  return entries->push_back(std::move(entry));
+}
+
+/// A compact workload string would block dotted workload.* overrides
+/// and hide its name from a workload= merge: rewrite it in object form.
+void normalize_workload(json_value& doc) {
+  const json_value* existing = doc.find("workload");
+  if (existing == nullptr || !existing->is_string()) return;
+  std::string name;
+  option_map options;
+  parse_compact_entry(existing->as_string(), "workload", name, options);
+  doc.set("workload", entry_to_json(name, options));
 }
 
 }  // namespace
@@ -807,17 +897,8 @@ void apply_spec_override(json_value& doc, std::string_view key,
     // Colon-separated compact region entries replace the whole list;
     // an empty value clears it (back to a homogeneous tile).
     json_value list = json_value::make_array();
-    std::size_t start = 0;
-    while (start < value.size()) {
-      const std::size_t colon = value.find(':', start);
-      const std::string_view item = colon == std::string_view::npos
-                                        ? value.substr(start)
-                                        : value.substr(start, colon - start);
-      if (!item.empty()) {
-        list.push_back(compact_region_to_json(item, "regions"));
-      }
-      if (colon == std::string_view::npos) break;
-      start = colon + 1;
+    for (const std::string& item : split_csv(value, ':')) {
+      list.push_back(compact_region_to_json(item, "regions"));
     }
     doc.set("regions", std::move(list));
     return;
@@ -834,25 +915,9 @@ void apply_spec_override(json_value& doc, std::string_view key,
                        "expected regions.<range>.<member>=value");
     }
     const std::string range(rest.substr(0, dot));
-    const std::string member(rest.substr(dot + 1));
     (void)parse_row_range(std::string(key), range);
-    json_value* regions = const_cast<json_value*>(doc.find("regions"));
-    if (regions == nullptr || !regions->is_array()) {
-      json_value list = json_value::make_array();
-      doc.set("regions", std::move(list));
-      regions = const_cast<json_value*>(doc.find("regions"));
-    }
-    for (json_value& existing : regions->as_array()) {
-      const json_value* rows = existing.find("rows");
-      if (rows != nullptr && rows->is_string() && rows->as_string() == range) {
-        existing.set(member, option_value_to_json(std::string(value)));
-        return;
-      }
-    }
-    json_value entry = json_value::make_object();
-    entry.set("rows", range);
-    entry.set(member, option_value_to_json(std::string(value)));
-    regions->push_back(std::move(entry));
+    list_entry(doc, "regions", "rows", range)
+        .set(rest.substr(dot + 1), option_value_to_json(std::string(value)));
     return;
   }
 
@@ -875,37 +940,14 @@ void apply_spec_override(json_value& doc, std::string_view key,
     json_value axis = json_value::make_object();
     axis.set("param", param);
     axis.set("values", std::move(values));
-    json_value* sweep = const_cast<json_value*>(doc.find("sweep"));
-    if (sweep == nullptr || !sweep->is_array()) {
-      json_value list = json_value::make_array();
-      list.push_back(std::move(axis));
-      doc.set("sweep", std::move(list));
-      return;
-    }
-    for (json_value& existing : sweep->as_array()) {
-      const json_value* existing_param = existing.find("param");
-      if (existing_param != nullptr && existing_param->is_string() &&
-          existing_param->as_string() == param) {
-        existing = std::move(axis);
-        return;
-      }
-    }
-    sweep->push_back(std::move(axis));
+    list_entry(doc, "sweep", "param", param) = std::move(axis);
     return;
   }
 
-  // A compact workload string would block dotted workload.* overrides:
-  // normalize it to object form first.
   if (key.starts_with("workload.")) {
-    const json_value* existing = doc.find("workload");
-    if (existing != nullptr && existing->is_string()) {
-      std::string name;
-      option_map options;
-      parse_compact_entry(existing->as_string(), "workload", name, options);
-      doc.set("workload", entry_to_json(name, options));
-    }
     // "workload.name=x" and the shorthand "workload=x" both land on the
-    // object's name member below.
+    // object's name member.
+    normalize_workload(doc);
   }
   if (key == "workload") {
     // Merge into an existing workload object (so the override orders
@@ -917,33 +959,20 @@ void apply_spec_override(json_value& doc, std::string_view key,
     std::string name;
     option_map options;
     parse_compact_entry(value, "workload", name, options);
-    // Normalize a compact-string spec workload to object form first, so
-    // the merge decision below sees its name and options either way.
-    json_value existing;
-    if (const json_value* node = doc.find("workload"); node != nullptr) {
-      if (node->is_string()) {
-        std::string existing_name;
-        option_map existing_options;
-        parse_compact_entry(node->as_string(), "workload", existing_name,
-                            existing_options);
-        existing = entry_to_json(existing_name, existing_options);
-      } else {
-        existing = *node;
-      }
+    normalize_workload(doc);
+    const json_value* existing = doc.find("workload");
+    const json_value* existing_name =
+        existing != nullptr ? existing->find("name") : nullptr;
+    const bool same = existing != nullptr && existing->is_object() &&
+                      (existing_name == nullptr ||
+                       (existing_name->is_string() &&
+                        existing_name->as_string() == name));
+    json_value merged = same ? *existing : json_value::make_object();
+    merged.set("name", name);
+    for (const auto& [opt_key, opt_value] : options.entries()) {
+      merged.set(opt_key, option_value_to_json(opt_value));
     }
-    const json_value* existing_name = existing.find("name");
-    if (existing.is_object() &&
-        (existing_name == nullptr ||
-         (existing_name->is_string() && existing_name->as_string() == name))) {
-      json_value merged = std::move(existing);
-      merged.set("name", name);
-      for (const auto& [opt_key, opt_value] : options.entries()) {
-        merged.set(opt_key, option_value_to_json(opt_value));
-      }
-      doc.set("workload", std::move(merged));
-    } else {
-      doc.set("workload", entry_to_json(name, options));
-    }
+    doc.set("workload", std::move(merged));
     return;
   }
 

@@ -264,17 +264,8 @@ class lifecycle_workload final : public workload {
     output.json.set("intermittent", std::uint64_t{intermittent_});
     output.json.set("initial_faults", initial_faults_);
     output.json.set("trials", std::uint64_t{trials_});
-    json_value scrub = json_value::make_object();
-    scrub.set("interval", spec.scrub.interval);
-    scrub.set("rows_per_pass", spec.scrub.rows_per_pass);
-    scrub.set("retire_correctable", spec.scrub.retire_correctable);
-    output.json.set("scrub", std::move(scrub));
-    json_value retire = json_value::make_object();
-    retire.set("policy", std::string(to_string(spec.retire.policy)));
-    retire.set("max_retries", spec.retire.max_retries);
-    retire.set("spare_rows", spec.retire.spare_rows);
-    retire.set("reliable_region", spec.retire.reliable_region);
-    output.json.set("retire", std::move(retire));
+    output.json.set("scrub", section_to_json(spec.scrub));
+    output.json.set("retire", section_to_json(spec.retire));
     output.json.set("schemes", std::move(scheme_results));
     return output;
   }

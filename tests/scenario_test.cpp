@@ -442,6 +442,180 @@ TEST(ScenarioSpec, ServeSectionRejectionsNameTheField) {
   }
 }
 
+// ------------------------------------------- normal form and rejections
+
+// Every field of every section set to a non-default value.
+constexpr const char* kEveryFieldSpec = R"json({
+  "name": "every-field",
+  "geometry": {"rows_per_tile": 256, "word_bits": 16, "frac_bits": 8},
+  "fault": {"pcell": 2e-3, "vdd": 0.7, "polarity": "random-stuck",
+            "vcrit_mean": 0.3, "vcrit_sigma": 0.1, "model_seed": 9,
+            "age_hours": 500},
+  "seeds": {"root": 3, "app": 4},
+  "run": {"threads": 2, "batch": 128},
+  "scrub": {"interval": 2, "rows_per_pass": 64,
+            "retire_correctable": false},
+  "retire": {"policy": "remap", "max_retries": 3, "spare_rows": 8,
+             "reliable_region": 1},
+  "serve": {"clients": 3, "requests": 5000, "requests_per_epoch": 500,
+            "store_percent": 30, "quality_percent": 10, "initial_faults": 7,
+            "arrivals_per_epoch": 2, "intermittent_cells": 5},
+  "schemes": ["none", {"name": "shuffle", "nfm": 2}],
+  "regions": [
+    {"rows": "0-63", "scheme": "secded", "spare_rows": 4, "pcell": 1e-4,
+     "vdd": 0.8},
+    {"rows": "64-255", "scheme": "shuffle:nfm=1"}
+  ],
+  "workload": {"name": "lifecycle-quality", "epochs": 2},
+  "sweep": [{"param": "seeds.root", "values": [1, 2]}]
+})json";
+
+TEST(ScenarioSpec, NormalFormIsPinned) {
+  // Goldens embed the normalized spec and checkpoints are keyed by its
+  // hash, so both are pinned byte for byte.
+  const scenario_spec full = scenario_spec::parse_text(kEveryFieldSpec);
+  EXPECT_EQ(full.to_json().dump(0),
+            R"({"name":"every-field","geometry":{"rows_per_tile":256,)"
+            R"("word_bits":16,"frac_bits":8},"fault":{"pcell":0.002,"vdd":0.7,)"
+            R"("polarity":"random-stuck","vcrit_mean":0.3,"vcrit_sigma":0.1,)"
+            R"("model_seed":9,"age_hours":500},"seeds":{"root":3,"app":4},)"
+            R"("run":{"threads":2,"batch":128},"scrub":{"interval":2,)"
+            R"("rows_per_pass":64,"retire_correctable":false},)"
+            R"("retire":{"policy":"remap","max_retries":3,"spare_rows":8,)"
+            R"("reliable_region":1},"serve":{"clients":3,"requests":5000,)"
+            R"("requests_per_epoch":500,"store_percent":30,)"
+            R"("quality_percent":10,"initial_faults":7,"arrivals_per_epoch":2,)"
+            R"("intermittent_cells":5},"schemes":[{"name":"none"},)"
+            R"({"name":"shuffle","nfm":2}],"regions":[{"rows":"0-63",)"
+            R"("scheme":{"name":"secded"},"spare_rows":4,"pcell":1e-04,)"
+            R"("vdd":0.8},{"rows":"64-255","scheme":{"name":"shuffle",)"
+            R"("nfm":1}}],"workload":{"name":"lifecycle-quality","epochs":2},)"
+            R"("sweep":[{"param":"seeds.root","values":[1,2]}]})");
+  EXPECT_EQ(full.canonical_hash(), "6ffb63a69606423d");
+
+  const scenario_spec defaults = scenario_spec::parse_text("{}");
+  EXPECT_EQ(defaults.to_json().dump(0),
+            R"({"name":"scenario","geometry":{"rows_per_tile":4096,)"
+            R"("word_bits":32,"frac_bits":16},"fault":{"polarity":"flip",)"
+            R"("vcrit_mean":0,"vcrit_sigma":0,"model_seed":1},)"
+            R"("seeds":{"root":42,"app":7},"run":{"threads":0,"batch":0},)"
+            R"("schemes":[]})");
+  EXPECT_EQ(defaults.canonical_hash(), "a9b790470ae10648");
+}
+
+TEST(ScenarioSpec, EveryFieldRejectsOutOfRangeAndMistypedValues) {
+  // This list is kept by hand, apart from the parser's own field
+  // tables, so a table row that loses its bound shows up here.
+  struct numeric_field {
+    const char* section;
+    const char* key;
+    const char* below;  // lo - 1
+    const char* above;  // hi + 1
+  };
+  const numeric_field fields[] = {
+      {"geometry", "rows_per_tile", "0", "4194305"},
+      {"geometry", "word_bits", "0", "65"},
+      {"geometry", "frac_bits", "-1", "64"},
+      {"fault", "pcell", "-1", "2"},
+      {"fault", "vdd", "-1", "3"},
+      {"fault", "vcrit_mean", "-1", "3"},
+      {"fault", "vcrit_sigma", "-1", "2"},
+      {"fault", "model_seed", "-1", "18446744073709551616"},
+      {"fault", "age_hours", "-1", "1000000001"},
+      {"seeds", "root", "-1", "18446744073709551616"},
+      {"seeds", "app", "-1", "18446744073709551616"},
+      {"run", "threads", "-1", "4097"},
+      {"run", "batch", "-1", "18446744073709551616"},
+      {"scrub", "interval", "-1", "4194305"},
+      {"scrub", "rows_per_pass", "-1", "4194305"},
+      {"retire", "max_retries", "-1", "101"},
+      {"retire", "spare_rows", "-1", "4194305"},
+      {"retire", "reliable_region", "-1", "256"},
+      {"serve", "clients", "0", "4097"},
+      {"serve", "requests", "-1", "18446744073709551616"},
+      {"serve", "requests_per_epoch", "-1", "18446744073709551616"},
+      {"serve", "store_percent", "-1", "101"},
+      {"serve", "quality_percent", "-1", "101"},
+      {"serve", "initial_faults", "-1", "18446744073709551616"},
+      {"serve", "arrivals_per_epoch", "-1", "4194305"},
+      {"serve", "intermittent_cells", "-1", "4194305"},
+  };
+  const auto expect_field = [](const std::string& text,
+                               const std::string& field) {
+    try {
+      (void)scenario_spec::parse_text(text);
+      ADD_FAILURE() << "expected spec_error for " << text;
+    } catch (const spec_error& error) {
+      EXPECT_EQ(error.field(), field) << text << ": " << error.what();
+    }
+  };
+  for (const numeric_field& f : fields) {
+    const std::string field = std::string(f.section) + "." + f.key;
+    for (const char* value : {f.below, f.above, "\"7\""}) {
+      expect_field(std::string("{\"") + f.section + "\": {\"" + f.key +
+                       "\": " + value + "}}",
+                   field);
+    }
+  }
+  for (const char* value : {"1", "\"sideways\""}) {
+    expect_field(std::string(R"({"fault": {"polarity": )") + value + "}}",
+                 "fault.polarity");
+    expect_field(std::string(R"({"retire": {"policy": )") + value + "}}",
+                 "retire.policy");
+  }
+  expect_field(R"({"scrub": {"retire_correctable": 1}})",
+               "scrub.retire_correctable");
+  for (const char* section :
+       {"geometry", "fault", "seeds", "run", "scrub", "retire", "serve"}) {
+    expect_field(std::string("{\"") + section + "\": 1}", section);
+    expect_field(std::string("{\"") + section + "\": {\"bogus\": 1}}",
+                 std::string(section) + ".bogus");
+  }
+
+  // Region members, through the JSON table, the regions= override and
+  // a tiered: scheme entry.
+  struct region_field {
+    const char* key;
+    const char* below;
+    const char* above;
+  };
+  const region_field region_fields[] = {{"spare_rows", "-1", "4194305"},
+                                        {"pcell", "-1", "2"},
+                                        {"vdd", "-1", "3"}};
+  geometry_spec geometry;
+  geometry.rows_per_tile = 64;
+  for (const region_field& f : region_fields) {
+    for (const char* value : {f.below, f.above}) {
+      expect_field(std::string(R"({"geometry": {"rows_per_tile": 64},
+          "regions": [{"rows": "0-63", "scheme": "none", ")") +
+                       f.key + "\": " + value + "}]}",
+                   std::string("regions[0].") + f.key);
+    }
+    expect_field(std::string(R"({"regions": [{"rows": "0-4095",
+        "scheme": "none", ")") + f.key + "\": \"7\"}]}",
+                 std::string("regions[0].") + f.key);
+    for (const char* value : {f.below, f.above, "abc"}) {
+      const std::string compact =
+          std::string("secded,") + f.key + "=" + value;
+      json_value doc = json_value::make_object();
+      try {
+        apply_spec_override(doc, "regions", "0-63=" + compact);
+        ADD_FAILURE() << "expected spec_error for regions=0-63=" << compact;
+      } catch (const spec_error& error) {
+        EXPECT_EQ(error.field(), "regions \"0-63\"") << error.what();
+      }
+      scheme_ref tiered{"tiered", option_map("schemes[0]")};
+      tiered.options.set("0-63", compact);
+      try {
+        (void)scheme_registry::instance().make(tiered, geometry);
+        ADD_FAILURE() << "expected spec_error for tiered:0-63=" << compact;
+      } catch (const spec_error& error) {
+        EXPECT_EQ(error.field(), "schemes[0].0-63") << error.what();
+      }
+    }
+  }
+}
+
 TEST(ScenarioSpec, SweepPathsValidateAtParseTime) {
   // A misspelled axis path fails from_json (not the first grid point).
   try {

@@ -10,7 +10,7 @@
 # manifest.json and merges that directory. Both expect a line/column
 # message (a stack overflow in the recursive-descent parser would
 # crash instead). MODE=flag passes ARGS verbatim; EXPECT names the
-# flag the diagnostic must blame.
+# flag or spec field the diagnostic must blame.
 if(MODE STREQUAL "flag")
   set(input ${ARGS})
 else()

@@ -122,22 +122,12 @@ int main(int argc, char** argv) {
     print_registry(workload_registry::instance().list());
     return 0;
   }
-  if (parsed->positionals.size() > 1) {
-    std::cerr << "urmem-run: more than one spec file given ('"
-              << parsed->positionals[0] << "' and '" << parsed->positionals[1]
-              << "')\n";
-    return 2;
-  }
-  const std::string spec_path =
-      parsed->positionals.empty() ? std::string{} : parsed->positionals[0];
   const std::string out_path = parsed->value_or("--out");
   const std::string shard_text = parsed->value_or("--shard");
   const std::string max_points_text = parsed->value_or("--max-points");
   const bool print_spec = parsed->has("--print-spec");
   run_options options;
   options.checkpoint_dir = parsed->value_or("--checkpoint-dir");
-  const std::vector<std::pair<std::string, std::string>>& overrides =
-      parsed->overrides;
 
   try {
     // Flag validation precedes any spec loading or pool spawning:
@@ -150,28 +140,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    json_value doc = json_value::make_object();
-    if (!spec_path.empty()) {
-      std::ifstream in(spec_path);
-      if (!in) {
-        std::cerr << "urmem-run: cannot read spec file '" << spec_path << "'\n";
-        return 2;
-      }
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      doc = json_value::parse(text);
-    }
-    for (const auto& [key, value] : overrides) {
-      apply_spec_override(doc, key, value);
-    }
-
-    const scenario_spec spec = scenario_spec::from_json(doc);
+    const scenario_spec spec =
+        load_spec(parsed->positionals, parsed->overrides);
+    // Constructing the runner resolves the workload and every scheme, so
+    // --print-spec rejects exactly what a run would reject.
+    const scenario_runner runner(spec);
     if (print_spec) {
       std::cout << spec.to_json().dump() << "\n";
       return 0;
     }
 
-    const scenario_runner runner(spec);
     std::cerr << "scenario '" << spec.name << "': workload "
               << spec.workload.name << ", " << spec.schemes.size()
               << " scheme(s), " << runner.grid_size() << " grid point(s)\n";
@@ -205,9 +183,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const spec_error& error) {
     std::cerr << "urmem-run: " << error.what() << "\n";
-    return 2;
-  } catch (const json_parse_error& error) {
-    std::cerr << "urmem-run: " << spec_path << ": " << error.what() << "\n";
     return 2;
   } catch (const std::exception& error) {
     std::cerr << "urmem-run: error: " << error.what() << "\n";

@@ -89,33 +89,13 @@ int main(int argc, char** argv) {
       parse_cli(cli, argc, argv, std::cout, std::cerr);
   if (!parsed) return 2;
   if (parsed->help) return 0;
-  if (parsed->positionals.size() > 1) {
-    std::cerr << "urmem-serve: more than one spec file given ('"
-              << parsed->positionals[0] << "' and '" << parsed->positionals[1]
-              << "')\n";
-    return 2;
-  }
-  const std::string spec_path =
-      parsed->positionals.empty() ? std::string{} : parsed->positionals[0];
 
   try {
-    json_value doc = json_value::make_object();
-    if (!spec_path.empty()) {
-      std::ifstream in(spec_path);
-      if (!in) {
-        std::cerr << "urmem-serve: cannot read spec file '" << spec_path
-                  << "'\n";
-        return 2;
-      }
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      doc = json_value::parse(text);
-    }
-    for (const auto& [key, value] : parsed->overrides) {
-      apply_spec_override(doc, key, value);
-    }
-
-    const scenario_spec spec = scenario_spec::from_json(doc);
+    const scenario_spec spec =
+        load_spec(parsed->positionals, parsed->overrides);
+    // Building the service resolves the schemes and checks the spec
+    // for serving, so --print-spec rejects exactly what a run would.
+    memory_service service(spec);
     if (parsed->has("--print-spec")) {
       std::cout << spec.to_json().dump() << "\n";
       return 0;
@@ -142,7 +122,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    memory_service service(spec);
     std::cerr << "serve '" << spec.name << "': " << service.tile_count()
               << " tile(s) x " << service.rows() << " rows, "
               << config.clients << " client(s), " << config.requests
@@ -197,9 +176,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const spec_error& error) {
     std::cerr << "urmem-serve: " << error.what() << "\n";
-    return 2;
-  } catch (const json_parse_error& error) {
-    std::cerr << "urmem-serve: " << spec_path << ": " << error.what() << "\n";
     return 2;
   } catch (const std::exception& error) {
     std::cerr << "urmem-serve: error: " << error.what() << "\n";
