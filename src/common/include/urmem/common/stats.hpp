@@ -35,15 +35,70 @@ namespace urmem {
 /// (both strictly positive).
 [[nodiscard]] std::vector<double> logspace(double lo, double hi, std::size_t count);
 
+/// Order-free count of weighted samples: how often each (value, weight)
+/// pair occurred. Keys are the bit patterns of the two doubles, with
+/// -0.0 folded into +0.0; a NaN value and a negative or NaN weight are
+/// rejected (std::invalid_argument).
+///
+/// Built for concurrent campaigns the way latency_histogram is: one
+/// tally per worker, merge() after the workers join. Merging is
+/// key-wise integer addition, so the merged tally, and the
+/// empirical_cdf built from it, is the same at any thread count and in
+/// any merge order. Memory grows with the distinct pairs, not the
+/// samples: a Fig. 5 sweep of ~5e5 trials per scheme has at most ~1e4.
+class weighted_tally {
+ public:
+  /// One distinct pair and how often it was added.
+  struct entry {
+    double value = 0.0;
+    double weight = 0.0;
+    std::uint64_t count = 0;
+  };
+
+  /// Counts `count` samples of `value` carrying `weight`.
+  void add(double value, double weight, std::uint64_t count = 1);
+
+  /// Adds `other`'s counts into this tally (exact).
+  void merge(const weighted_tally& other);
+
+  /// The distinct pairs with their counts, ascending by value, then by
+  /// weight: a fixed order that does not depend on insertion history.
+  [[nodiscard]] std::vector<entry> sorted_entries() const;
+
+ private:
+  struct slot {
+    std::uint64_t value_bits = 0;
+    std::uint64_t weight_bits = 0;
+    std::uint64_t count = 0;  // 0 marks an empty slot
+  };
+
+  slot& find_slot(std::uint64_t value_bits, std::uint64_t weight_bits);
+  void grow();
+
+  std::vector<slot> slots_;  // open addressing, power-of-two size
+  std::size_t used_ = 0;
+};
+
 /// Weighted empirical cumulative distribution function.
 ///
 /// Samples carry nonnegative weights (uniform MC uses weight 1; the
 /// stratified fault-count sweep of the paper's Fig. 5 uses per-stratum
 /// probabilities Pr(N = n)). Weights are normalized internally, so the
 /// CDF always reaches 1 at +infinity.
+///
+/// Every constructor goes through one rule over a weighted_tally: its
+/// distinct (value, weight) pairs in sorted order, total = sum of
+/// count * weight in that order, then running += count * weight / total
+/// in that order, equal values merged into one support point. The
+/// result therefore depends only on the multiset of samples, never on
+/// their input order.
 class empirical_cdf {
  public:
   empirical_cdf() = default;
+
+  /// Builds the distribution from a tally of weighted samples. The
+  /// tally must be nonempty with a positive, finite total weight.
+  explicit empirical_cdf(const weighted_tally& tally);
 
   /// Builds the distribution from (value, weight) pairs.
   /// Weights must be nonnegative with a positive sum.

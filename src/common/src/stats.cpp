@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "urmem/common/contracts.hpp"
 
@@ -93,35 +94,135 @@ std::vector<double> logspace(double lo, double hi, std::size_t count) {
   return exponents;
 }
 
+namespace {
+
+/// Bit pattern of `x` with -0.0 folded into +0.0, so the two zeros key
+/// one tally entry (they compare equal as support points anyway).
+std::uint64_t key_bits(double x) {
+  return std::bit_cast<std::uint64_t>(x == 0.0 ? 0.0 : x);
+}
+
+/// Slot hash of a (value, weight) key: a multiply to spread the value,
+/// then the murmur3 64-bit finalizer, so keys that differ only in high
+/// bits (exponents of round MSE values) still spread over the low bits
+/// the table indexes with.
+std::uint64_t key_hash(std::uint64_t value_bits, std::uint64_t weight_bits) {
+  std::uint64_t h = value_bits * 0x9e3779b97f4a7c15ull ^ weight_bits;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// The samples as a tally; empty `weights` means weight 1 each.
+weighted_tally tally_of(const std::vector<double>& values,
+                        const std::vector<double>& weights) {
+  expects(weights.empty() || weights.size() == values.size(),
+          "values/weights size mismatch");
+  weighted_tally tally;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    tally.add(values[i], weights.empty() ? 1.0 : weights[i]);
+  }
+  return tally;
+}
+
+}  // namespace
+
+weighted_tally::slot& weighted_tally::find_slot(std::uint64_t value_bits,
+                                                std::uint64_t weight_bits) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = key_hash(value_bits, weight_bits) & mask;;
+       i = (i + 1) & mask) {
+    slot& s = slots_[i];
+    if (s.count == 0 ||
+        (s.value_bits == value_bits && s.weight_bits == weight_bits)) {
+      return s;
+    }
+  }
+}
+
+void weighted_tally::grow() {
+  std::vector<slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+  old.swap(slots_);
+  for (const slot& s : old) {
+    if (s.count != 0) find_slot(s.value_bits, s.weight_bits) = s;
+  }
+}
+
+void weighted_tally::add(double value, double weight, std::uint64_t count) {
+  expects(!std::isnan(value), "weighted_tally: sample value is NaN");
+  expects(weight >= 0.0,
+          "weighted_tally: sample weight must be nonnegative (not NaN)");
+  if (count == 0) return;
+  // Load factor at most 1/2 keeps the linear probes short.
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  const std::uint64_t value_bits = key_bits(value);
+  const std::uint64_t weight_bits = key_bits(weight);
+  slot& s = find_slot(value_bits, weight_bits);
+  if (s.count == 0) {
+    s.value_bits = value_bits;
+    s.weight_bits = weight_bits;
+    ++used_;
+  }
+  s.count += count;
+}
+
+void weighted_tally::merge(const weighted_tally& other) {
+  for (const slot& s : other.slots_) {
+    if (s.count != 0) {
+      add(std::bit_cast<double>(s.value_bits),
+          std::bit_cast<double>(s.weight_bits), s.count);
+    }
+  }
+}
+
+std::vector<weighted_tally::entry> weighted_tally::sorted_entries() const {
+  std::vector<entry> entries;
+  entries.reserve(used_);
+  for (const slot& s : slots_) {
+    if (s.count != 0) {
+      entries.push_back({std::bit_cast<double>(s.value_bits),
+                         std::bit_cast<double>(s.weight_bits), s.count});
+    }
+  }
+  // Keys are unique and NaN-free, so this order is total: the sort
+  // cannot leave ties for the implementation to break.
+  std::sort(entries.begin(), entries.end(),
+            [](const entry& l, const entry& r) {
+              return l.value != r.value ? l.value < r.value
+                                        : l.weight < r.weight;
+            });
+  return entries;
+}
+
 empirical_cdf::empirical_cdf(std::vector<double> values)
     : empirical_cdf(std::move(values), {}) {}
 
-empirical_cdf::empirical_cdf(std::vector<double> values, std::vector<double> weights) {
-  expects(!values.empty(), "empirical_cdf requires at least one sample");
-  if (weights.empty()) {
-    weights.assign(values.size(), 1.0);
-  }
-  expects(weights.size() == values.size(), "values/weights size mismatch");
+empirical_cdf::empirical_cdf(std::vector<double> values,
+                             std::vector<double> weights)
+    : empirical_cdf(tally_of(values, weights)) {}
 
-  std::vector<std::size_t> order(values.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t l, std::size_t r) { return values[l] < values[r]; });
-
+empirical_cdf::empirical_cdf(const weighted_tally& tally) {
+  const std::vector<weighted_tally::entry> entries = tally.sorted_entries();
+  expects(!entries.empty(), "empirical_cdf requires at least one sample");
   double total = 0.0;
-  for (const double w : weights) {
-    expects(w >= 0.0, "weights must be nonnegative");
-    total += w;
+  for (const weighted_tally::entry& e : entries) {
+    total += static_cast<double>(e.count) * e.weight;
   }
-  expects(total > 0.0, "total weight must be positive");
+  expects(total > 0.0 && std::isfinite(total),
+          "total weight must be positive and finite");
 
+  values_.reserve(entries.size());
+  cumulative_.reserve(entries.size());
   double running = 0.0;
-  for (const std::size_t idx : order) {
-    running += weights[idx] / total;
-    if (!values_.empty() && values_.back() == values[idx]) {
+  for (const weighted_tally::entry& e : entries) {
+    running += static_cast<double>(e.count) * e.weight / total;
+    if (!values_.empty() && values_.back() == e.value) {
       cumulative_.back() = running;  // merge duplicate support points
     } else {
-      values_.push_back(values[idx]);
+      values_.push_back(e.value);
       cumulative_.push_back(running);
     }
   }

@@ -11,9 +11,13 @@
 //    engine derived from the root seed by stream splitting, never on a
 //    generator shared between trials. Which worker executes the trial
 //    (and in what order) therefore cannot change its draws.
-//  * Deterministic reduction — per-trial outputs land in a slot indexed
-//    by trial number and are merged in trial order after the pool
-//    drains, so floating-point accumulation order is fixed.
+//  * Deterministic reduction — map() writes each trial's output to the
+//    slot indexed by its trial number. map_weighted() counts each
+//    worker's (value, weight) samples in that worker's own
+//    weighted_tally; after the pool drains the tallies are merged by
+//    integer counts, and the CDF is built from them in a fixed
+//    (value, weight) order. Neither depends on which worker ran a
+//    trial, so floating-point accumulation order is fixed.
 //  * Scheduling — the trial range is pre-split into one contiguous
 //    shard per worker; workers claim batches from their own shard and,
 //    when it drains, steal half of the fullest remaining shard. Batches
@@ -22,8 +26,8 @@
 //
 // Trial bodies must be thread-safe: they may read shared immutable
 // state (the application, the scheme factory) but must confine writes
-// to their own trial's slot — exactly what run()/map()/run_weighted()
-// provide.
+// to their own trial's slot or worker's scratch — exactly what
+// run()/map()/map_weighted() provide.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +75,6 @@ class campaign_runner {
   /// worker a trial lands on is schedule-dependent; results must not be.
   using worker_trial_body =
       std::function<void(std::uint64_t trial, rng& gen, unsigned worker)>;
-  /// Runs one trial and appends its (value, weight) samples to `out`.
-  using sampling_body = std::function<void(
-      std::uint64_t trial, rng& gen, std::vector<weighted_sample>& out)>;
 
   explicit campaign_runner(campaign_config config = {});
   ~campaign_runner();
@@ -108,22 +109,18 @@ class campaign_runner {
     return results;
   }
 
-  /// Weighted-sampling campaign with exactly one sample per trial,
-  /// written to the trial's own slot and merged in trial order — the
-  /// allocation-lean reduction behind the Fig. 5 mse_distribution and
-  /// Fig. 7 quality sweeps.
+  /// Weighted-sampling campaign with one sample per trial — the
+  /// reduction behind the Fig. 5 mse_distribution and Fig. 7 quality
+  /// sweeps. Each worker counts its samples in its own weighted_tally;
+  /// the tallies merge by integer addition, so the CDF is bit-identical
+  /// at any thread count and memory grows with the distinct samples,
+  /// not the trials. A NaN value or a negative weight is rejected
+  /// (std::invalid_argument, rethrown like any trial exception).
   [[nodiscard]] empirical_cdf map_weighted(
       std::uint64_t trials,
       const std::function<weighted_sample(std::uint64_t, rng&)>& fn);
 
-  /// General weighted-sampling campaign: trials may emit any number of
-  /// samples; all are merged in trial order into one empirical CDF. At
-  /// least one sample must be emitted overall. Costs a per-sample trial
-  /// tag plus a merge sort — prefer map_weighted for one-sample trials.
-  [[nodiscard]] empirical_cdf run_weighted(std::uint64_t trials,
-                                           const sampling_body& body);
-
-  /// Scheduling counters of the most recent run()/map()/run_weighted().
+  /// Scheduling counters of the most recent run()/map()/map_weighted().
   [[nodiscard]] const campaign_stats& last_stats() const noexcept {
     return last_stats_;
   }

@@ -1,7 +1,6 @@
 #include "urmem/yield/mse_distribution.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -35,18 +34,20 @@ double sample_mse(const protection_scheme& scheme,
   // state (each trial brings its own rng).
   thread_local std::vector<std::uint64_t> cells;
   thread_local std::vector<std::uint32_t> cols;
-  thread_local std::unordered_set<std::uint64_t> chosen;
   cells.clear();
-  chosen.clear();
   const std::uint64_t total = geometry.cells();
-  // Robert Floyd's distinct sampling.
+  // Robert Floyd's distinct sampling, with `cells` kept sorted as the
+  // membership set (n is at most a few hundred). A taken draw picks j,
+  // which exceeds every earlier pick (all are <= j - 1), so it appends.
   for (std::uint64_t j = total - n; j < total; ++j) {
     const std::uint64_t t = gen.uniform_below(j + 1);
-    const std::uint64_t pick = chosen.contains(t) ? j : t;
-    chosen.insert(pick);
-    cells.push_back(pick);
+    const auto at = std::lower_bound(cells.begin(), cells.end(), t);
+    if (at != cells.end() && *at == t) {
+      cells.push_back(j);
+    } else {
+      cells.insert(at, t);
+    }
   }
-  std::sort(cells.begin(), cells.end());
 
   double total_cost = 0.0;
   std::size_t i = 0;

@@ -3,8 +3,11 @@
 // work-stealing scheduling, and error propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "urmem/sim/applications.hpp"
 #include "urmem/sim/campaign_runner.hpp"
 #include "urmem/sim/quality_experiment.hpp"
+#include "urmem/verify/cdf_reference.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
 namespace urmem {
@@ -99,30 +103,32 @@ TEST(CampaignRunnerTest, RunnerIsReusableAcrossCampaigns) {
 
 // ---------------------------------------------- bit-identical aggregates
 
-/// The ISSUE's determinism contract: identical aggregate results for the
-/// same seed at 1, 2, and 8 threads — compared bit-for-bit.
+/// Checks two CDFs bit for bit (EXPECT_EQ on doubles is exact).
+void expect_bit_identical(const empirical_cdf& cdf,
+                          const empirical_cdf& reference, unsigned threads) {
+  ASSERT_EQ(cdf.size(), reference.size()) << threads;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(cdf.support()[i], reference.support()[i]) << threads;
+    EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i]) << threads;
+  }
+}
+
+/// The determinism contract: identical aggregate results for the same
+/// seed at 1, 2, and 8 threads — compared bit-for-bit.
 TEST(CampaignRunnerTest, WeightedAggregateBitIdenticalAt1_2_8Threads) {
   const auto run_at = [](unsigned threads) {
     campaign_runner runner({.threads = threads, .seed = 2026});
-    return runner.run_weighted(
-        500, [](std::uint64_t trial, rng& gen,
-                std::vector<weighted_sample>& out) {
-          // Variable-length emission exercises the merge ordering.
-          const std::size_t count = 1 + trial % 3;
-          for (std::size_t i = 0; i < count; ++i) {
-            out.push_back({gen.normal(), 1.0 + gen.uniform()});
-          }
+    return runner.map_weighted(
+        1500, [](std::uint64_t trial, rng& gen) -> weighted_sample {
+          // Few distinct values, many tied ones with distinct weights:
+          // the tallies merge the ties from several workers.
+          const double value = std::floor(gen.normal() * 4.0);
+          return {value, 1.0 + static_cast<double>(trial % 7) / 3.0};
         });
   };
   const empirical_cdf reference = run_at(1);
   for (const unsigned threads : {2u, 8u}) {
-    const empirical_cdf cdf = run_at(threads);
-    ASSERT_EQ(cdf.size(), reference.size()) << threads;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      // EXPECT_EQ on doubles is exact: bit-identical, not just close.
-      EXPECT_EQ(cdf.support()[i], reference.support()[i]) << threads;
-      EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i]) << threads;
-    }
+    expect_bit_identical(run_at(threads), reference, threads);
   }
 }
 
@@ -139,26 +145,85 @@ TEST(CampaignRunnerTest, BatchSizeDoesNotChangeResults) {
 
 TEST(CampaignRunnerTest, MseSweepBitIdenticalAcrossThreadCounts) {
   // A real Fig. 5-style workload: stratified MSE sampling of the P-ECC
-  // scheme through sample_mse, merged by run_weighted.
+  // scheme through sample_mse, merged by map_weighted.
   const auto scheme = make_scheme_pecc();
   const array_geometry geometry{256, scheme->storage_bits()};
   const auto run_at = [&](unsigned threads) {
     campaign_runner runner({.threads = threads, .seed = 404});
-    return runner.run_weighted(
-        400, [&](std::uint64_t trial, rng& gen,
-                 std::vector<weighted_sample>& out) {
+    return runner.map_weighted(
+        400, [&](std::uint64_t trial, rng& gen) -> weighted_sample {
           const std::uint64_t n = 1 + trial % 5;
-          out.push_back({sample_mse(*scheme, geometry, n, gen), 1.0});
+          return {sample_mse(*scheme, geometry, n, gen), 1.0};
         });
   };
   const empirical_cdf reference = run_at(1);
   for (const unsigned threads : {2u, 8u}) {
-    const empirical_cdf cdf = run_at(threads);
-    ASSERT_EQ(cdf.size(), reference.size()) << threads;
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(cdf.support()[i], reference.support()[i]) << threads;
-      EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i]) << threads;
+    expect_bit_identical(run_at(threads), reference, threads);
+  }
+}
+
+TEST(CampaignRunnerTest, Fig5SmokeCampaignMatchesThreadsAndReferenceCdf) {
+  // scenarios/fig5_smoke.json's campaigns: schemes none and secded on
+  // 4096 x 32, runs 3000, nmax 12, Pcell 5e-6 / 2e-5 / 1e-4, seed 42.
+  mse_cdf_config config;
+  config.total_runs = 3000;
+  config.n_max = 12;
+  constexpr std::uint32_t rows = 4096;
+  for (const auto& scheme : {make_scheme_none(), make_scheme_secded()}) {
+    const array_geometry geometry{rows, scheme->storage_bits()};
+    for (const double pcell : {5e-6, 2e-5, 1e-4}) {
+      const std::vector<mse_stratum> strata =
+          mse_strata(geometry, pcell, config);
+      std::vector<std::uint64_t> starts;
+      std::uint64_t trials = 0;
+      for (const mse_stratum& s : strata) {
+        starts.push_back(trials);
+        trials += s.count;
+      }
+      const std::function<weighted_sample(std::uint64_t, rng&)> body =
+          [&](std::uint64_t trial, rng& gen) -> weighted_sample {
+        const auto it = std::upper_bound(starts.begin(), starts.end(), trial);
+        const mse_stratum& s = strata[static_cast<std::size_t>(
+            std::distance(starts.begin(), it) - 1)];
+        return {sample_mse(*scheme, geometry, s.n, gen), s.weight_each};
+      };
+
+      campaign_runner serial({.threads = 1, .seed = 42});
+      const empirical_cdf cdf = serial.map_weighted(trials, body);
+      for (const unsigned threads : {2u, 4u, 8u}) {
+        campaign_runner runner({.threads = threads, .seed = 42});
+        expect_bit_identical(runner.map_weighted(trials, body), cdf, threads);
+      }
+
+      // The same samples through the sort-and-accumulate oracle.
+      const std::vector<weighted_sample> samples =
+          serial.map<weighted_sample>(trials, body);
+      std::vector<double> values;
+      std::vector<double> weights;
+      for (const weighted_sample& s : samples) {
+        values.push_back(s.value);
+        weights.push_back(s.weight);
+      }
+      const reference_cdf oracle = empirical_cdf_reference(values, weights);
+      ASSERT_EQ(cdf.support(), oracle.support) << pcell;
+      for (std::size_t i = 0; i < oracle.cumulative.size(); ++i) {
+        EXPECT_NEAR(cdf.cumulative()[i], oracle.cumulative[i], 1e-12)
+            << scheme->name() << " at Pcell " << pcell << ", point " << i;
+      }
     }
+  }
+}
+
+TEST(CampaignRunnerTest, NaNSampleIsRejected) {
+  for (const unsigned threads : {1u, 4u}) {
+    campaign_runner runner({.threads = threads, .seed = 8});
+    EXPECT_THROW((void)runner.map_weighted(
+                     300,
+                     [](std::uint64_t trial, rng&) -> weighted_sample {
+                       return {trial == 211 ? std::nan("") : 1.0, 1.0};
+                     }),
+                 std::invalid_argument)
+        << threads;
   }
 }
 
@@ -181,12 +246,7 @@ TEST(CampaignRunnerTest, QualityExperimentBitIdenticalAcrossThreadCounts) {
   for (const unsigned threads : {2u, 8u}) {
     const quality_result result = run_at(threads);
     EXPECT_EQ(result.clean_metric, reference.clean_metric) << threads;
-    ASSERT_EQ(result.cdf.size(), reference.cdf.size()) << threads;
-    for (std::size_t i = 0; i < reference.cdf.size(); ++i) {
-      EXPECT_EQ(result.cdf.support()[i], reference.cdf.support()[i]) << threads;
-      EXPECT_EQ(result.cdf.cumulative()[i], reference.cdf.cumulative()[i])
-          << threads;
-    }
+    expect_bit_identical(result.cdf, reference.cdf, threads);
   }
 }
 

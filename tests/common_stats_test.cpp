@@ -1,9 +1,12 @@
-// Tests for the statistics primitives (normal CDF/quantile, ECDF).
+// Tests for the statistics primitives (normal CDF/quantile, ECDF,
+// weighted tally, latency histogram).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "urmem/common/stats.hpp"
@@ -110,6 +113,119 @@ TEST(EcdfTest, CdfIsMonotoneOverSupport) {
     prev = cur;
   }
   EXPECT_DOUBLE_EQ(prev, 1.0);
+}
+
+
+TEST(EcdfTest, PermutedInputWithTiedValuesIsBitIdentical) {
+  // 400 samples over 10 tied values, each tie carrying weights whose
+  // float sums depend on the order they are added in. The CDF must not
+  // depend on the input order (nor on how a sort breaks the ties).
+  std::vector<double> values;
+  std::vector<double> weights;
+  for (int i = 0; i < 400; ++i) {
+    values.push_back(static_cast<double>((i * 7) % 10));
+    weights.push_back(0.1 * (1 + i % 13) + 1e-3 * i + 1.0 / (3 + i));
+  }
+  const empirical_cdf reference(values, weights);
+  for (const std::uint64_t stride : {1u, 37u, 211u, 399u}) {
+    // Stride permutations of 0..399 (every stride is coprime to 400).
+    std::vector<double> permuted_values;
+    std::vector<double> permuted_weights;
+    for (std::uint64_t k = 0; k < values.size(); ++k) {
+      const std::size_t i = (k * stride + 3) % values.size();
+      permuted_values.push_back(values[i]);
+      permuted_weights.push_back(weights[i]);
+    }
+    const empirical_cdf cdf(permuted_values, permuted_weights);
+    ASSERT_EQ(cdf.support(), reference.support()) << stride;
+    for (std::size_t i = 0; i < cdf.size(); ++i) {
+      EXPECT_EQ(cdf.cumulative()[i], reference.cumulative()[i])
+          << "stride " << stride << ", support point " << i;
+    }
+  }
+}
+
+TEST(EcdfTest, RejectsNaNSamples) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(empirical_cdf(std::vector<double>{1.0, nan}),
+               std::invalid_argument);
+  EXPECT_THROW(empirical_cdf({1.0, 2.0}, {1.0, nan}), std::invalid_argument);
+}
+
+TEST(WeightedTallyTest, CountsDistinctPairsInSortedOrder) {
+  weighted_tally tally;
+  tally.add(2.0, 0.5);
+  tally.add(1.0, 0.5);
+  tally.add(2.0, 0.25);
+  tally.add(2.0, 0.5);
+  tally.add(1.0, 0.5, 3);
+  tally.add(1.0, 0.5, 0);  // a zero count adds nothing
+  tally.add(3.0, 0.5, 0);
+  const std::vector<weighted_tally::entry> entries = tally.sorted_entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].value, 1.0);
+  EXPECT_EQ(entries[0].weight, 0.5);
+  EXPECT_EQ(entries[0].count, 4u);
+  EXPECT_EQ(entries[1].value, 2.0);
+  EXPECT_EQ(entries[1].weight, 0.25);
+  EXPECT_EQ(entries[1].count, 1u);
+  EXPECT_EQ(entries[2].value, 2.0);
+  EXPECT_EQ(entries[2].weight, 0.5);
+  EXPECT_EQ(entries[2].count, 2u);
+}
+
+TEST(WeightedTallyTest, NegativeZeroFoldsIntoPositiveZero) {
+  weighted_tally tally;
+  tally.add(-0.0, 1.0);
+  tally.add(0.0, 1.0);
+  tally.add(0.0, -0.0);
+  const std::vector<weighted_tally::entry> entries = tally.sorted_entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_FALSE(std::signbit(entries[0].value));
+  EXPECT_FALSE(std::signbit(entries[0].weight));
+  EXPECT_EQ(entries[0].weight, 0.0);
+  EXPECT_EQ(entries[1].count, 2u);
+}
+
+TEST(WeightedTallyTest, MergeIsOrderFree) {
+  // Four "workers" tally interleaved slices of one sample stream; every
+  // merge order gives the same entries as one tally of the whole stream.
+  std::vector<weighted_tally> workers(4);
+  weighted_tally whole;
+  for (int i = 0; i < 5000; ++i) {
+    const double value = std::floor(std::sin(i) * 300.0) / 64.0;
+    const double weight = 1.0 / (1 + i % 5);
+    workers[static_cast<std::size_t>(i * 31 % 4)].add(value, weight);
+    whole.add(value, weight);
+  }
+  const std::vector<weighted_tally::entry> expected = whole.sorted_entries();
+  const empirical_cdf expected_cdf(whole);
+  for (const auto& order : {std::vector<std::size_t>{0, 1, 2, 3},
+                            std::vector<std::size_t>{3, 1, 0, 2},
+                            std::vector<std::size_t>{2, 3, 1, 0}}) {
+    weighted_tally merged;
+    for (const std::size_t w : order) merged.merge(workers[w]);
+    const std::vector<weighted_tally::entry> got = merged.sorted_entries();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].value, expected[i].value);
+      EXPECT_EQ(got[i].weight, expected[i].weight);
+      EXPECT_EQ(got[i].count, expected[i].count);
+    }
+    const empirical_cdf cdf(merged);
+    EXPECT_EQ(cdf.support(), expected_cdf.support());
+    EXPECT_EQ(cdf.cumulative(), expected_cdf.cumulative());
+  }
+}
+
+TEST(WeightedTallyTest, RejectsNaNAndNegativeWeights) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  weighted_tally tally;
+  EXPECT_THROW(tally.add(nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(tally.add(1.0, nan), std::invalid_argument);
+  EXPECT_THROW(tally.add(1.0, -0.5), std::invalid_argument);
+  EXPECT_TRUE(tally.sorted_entries().empty());
+  EXPECT_THROW((void)empirical_cdf(tally), std::invalid_argument);
 }
 
 

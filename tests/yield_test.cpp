@@ -2,7 +2,11 @@
 // Monte-Carlo CDF (Fig. 5) and the quality-aware yield criterion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
 
 #include "urmem/scheme/protection_scheme.hpp"
 #include "urmem/yield/mse_distribution.hpp"
@@ -123,6 +127,77 @@ TEST(MseCdfTest, TinyRunCountStillCoversDominantStrata) {
   config.seed = 3;
   const empirical_cdf cdf = compute_mse_cdf(*scheme, 4096, 5e-6, config);
   EXPECT_GT(cdf.size(), 5u);
+}
+
+
+/// sample_mse as it was written with an unordered_set for Floyd's
+/// membership test and a trailing sort: the oracle for the sorted-vector
+/// sampler, which must make the same draws and the same picks.
+double sample_mse_unordered_set(const protection_scheme& scheme,
+                                const array_geometry& geometry,
+                                std::uint64_t n, rng& gen) {
+  std::vector<std::uint64_t> cells;
+  std::unordered_set<std::uint64_t> chosen;
+  const std::uint64_t total = geometry.cells();
+  for (std::uint64_t j = total - n; j < total; ++j) {
+    const std::uint64_t t = gen.uniform_below(j + 1);
+    const std::uint64_t pick = chosen.contains(t) ? j : t;
+    chosen.insert(pick);
+    cells.push_back(pick);
+  }
+  std::sort(cells.begin(), cells.end());
+  double cost = 0.0;
+  std::vector<std::uint32_t> cols;
+  for (std::size_t i = 0; i < cells.size();) {
+    const std::uint64_t row = cells[i] / geometry.width;
+    cols.clear();
+    for (; i < cells.size() && cells[i] / geometry.width == row; ++i) {
+      cols.push_back(static_cast<std::uint32_t>(cells[i] % geometry.width));
+    }
+    cost += scheme.worst_case_row_cost(static_cast<std::uint32_t>(row), cols);
+  }
+  return cost / static_cast<double>(geometry.rows);
+}
+
+TEST(SampleMseTest, MatchesUnorderedSetFloydSampler) {
+  const auto none = make_scheme_none();
+  const auto shuffle = make_scheme_shuffle(4096, 32, 1);
+  for (const protection_scheme* scheme : {none.get(), shuffle.get()}) {
+    const array_geometry geometry{4096, scheme->storage_bits()};
+    for (const std::uint64_t seed : {1u, 2u, 42u, 7919u}) {
+      for (const std::uint64_t n : {1u, 2u, 40u, 150u}) {
+        rng gen(seed * 1000 + n);
+        rng oracle_gen = gen;
+        for (int draw = 0; draw < 20; ++draw) {
+          EXPECT_EQ(sample_mse(*scheme, geometry, n, gen),
+                    sample_mse_unordered_set(*scheme, geometry, n, oracle_gen))
+              << scheme->name() << " seed " << seed << " n " << n;
+        }
+        EXPECT_EQ(gen(), oracle_gen());  // same number of draws
+      }
+    }
+  }
+}
+
+TEST(SampleMseTest, TinyGeometryWithEveryCellFaulty) {
+  // n equal to the cell count: Floyd's later draws mostly hit taken
+  // cells, which is the append-j path of the sorted sampler.
+  const auto scheme = make_scheme_none(4);
+  const array_geometry geometry{3, scheme->storage_bits()};
+  for (const std::uint64_t seed : {3u, 5u, 8u}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, std::uint64_t{6}, geometry.cells()}) {
+      rng gen(seed);
+      rng oracle_gen = gen;
+      EXPECT_EQ(sample_mse(*scheme, geometry, n, gen),
+                sample_mse_unordered_set(*scheme, geometry, n, oracle_gen))
+          << "seed " << seed << " n " << n;
+    }
+  }
+  // Every cell faulty: each row costs sum_b (2^b)^2 over its 4 bits.
+  rng gen(1);
+  EXPECT_EQ(sample_mse(*scheme, geometry, geometry.cells(), gen),
+            1.0 + 4.0 + 16.0 + 64.0);
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "urmem/common/cli.hpp"
 #include "urmem/common/fs.hpp"
@@ -91,8 +93,20 @@ int main(int argc, char** argv) {
   if (parsed->help) return 0;
 
   try {
-    const scenario_spec spec =
-        load_spec(parsed->positionals, parsed->overrides);
+    // --clients and --requests are spellings of serve.clients and
+    // serve.requests, applied after every key=value override: the spec's
+    // field table owns their bounds and diagnostics, and --print-spec
+    // echoes them.
+    std::vector<std::pair<std::string, std::string>> overrides =
+        parsed->overrides;
+    for (const char* flag : {"clients", "requests"}) {
+      const std::string name = std::string("--") + flag;
+      if (parsed->has(name)) {
+        overrides.emplace_back(std::string("serve.") + flag,
+                               parsed->value_or(name));
+      }
+    }
+    const scenario_spec spec = load_spec(parsed->positionals, overrides);
     // Building the service resolves the schemes and checks the spec
     // for serving, so --print-spec rejects exactly what a run would.
     memory_service service(spec);
@@ -102,18 +116,6 @@ int main(int argc, char** argv) {
     }
 
     driver_config config = driver_config_from(spec);
-    if (parsed->has("--clients")) {
-      const std::uint64_t clients =
-          parse_spec_u64("clients", parsed->value_or("--clients"));
-      if (clients == 0 || clients > 4096) {
-        throw spec_error("clients", "must be in [1, 4096]");
-      }
-      config.clients = static_cast<std::uint32_t>(clients);
-    }
-    if (parsed->has("--requests")) {
-      config.requests =
-          parse_spec_u64("requests", parsed->value_or("--requests"));
-    }
     if (parsed->has("--duration")) {
       config.duration_seconds =
           parse_spec_double("duration", parsed->value_or("--duration"));
