@@ -1,13 +1,18 @@
 // Micro-benchmarks of the memory substrate hot loop: the fault map's
 // plane-mask fast path (per-word and batched row ops) measured against
 // the per-cell reference oracle on a dense fault map, plus fault
-// sampling and the Eq. 6 MSE kernel Fig. 5's Monte Carlo leans on.
+// sampling and the Eq. 6 MSE kernel Fig. 5's Monte Carlo leans on, and
+// one Fig. 7 trial's tile store/readback: the row-sparse
+// store_and_readback_words against the full-tile oracle
+// store_and_readback_words_reference at --readback-faults per tile.
 //
-// Before timing anything the bench proves the two paths bit-identical
-// on randomized write/read sequences (exits nonzero on mismatch), so
-// the reported speedup is between equivalent computations. Emits
-// BENCH_micro_memory.json (see README "Bench telemetry"); CI fails when
-// speedup_read_vs_oracle or speedup_write_vs_oracle drops below 1.
+// Before timing anything the bench proves each pair bit-identical (the
+// array paths on randomized write/read sequences, the readback paths
+// on restored words and pipeline_stats at 0..158 faults per tile) and
+// exits nonzero on a mismatch, so every reported speedup is between
+// equivalent computations. Emits BENCH_micro_memory.json (see README
+// "Bench telemetry"); the CI perf job gates speedup_read_vs_oracle,
+// speedup_write_vs_oracle and speedup_readback_rows_vs_tile.
 #include <cstdint>
 #include <iostream>
 #include <vector>
@@ -20,6 +25,8 @@
 #include "urmem/memory/fault_sampler.hpp"
 #include "urmem/memory/sram_array.hpp"
 #include "urmem/scheme/protection_scheme.hpp"
+#include "urmem/sim/memory_pipeline.hpp"
+#include "urmem/verify/pipeline_reference.hpp"
 #include "urmem/yield/mse_distribution.hpp"
 
 namespace {
@@ -68,6 +75,41 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
   return true;
 }
 
+// One Fig. 7 trial's store: the Elasticnet app's 1279 x 11 training
+// words over 16 KB nFM=1 tiles (3.4 tiles, the last one partial).
+scheme_factory readback_factory() {
+  return [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 1); };
+}
+
+// Proves store_and_readback_words == the full-tile oracle (restored
+// words, all four stats, stream position) at 0..158 faults per tile.
+bool verify_readback_identical(const std::vector<word_t>& words,
+                               std::uint64_t seed) {
+  for (const std::uint64_t n : {0u, 1u, 80u, 158u, 5000u}) {
+    rng sparse_gen(seed + n);
+    rng full_gen(seed + n);
+    pipeline_stats sparse_stats;
+    pipeline_stats full_stats;
+    const auto inject = exact_fault_injector(n, fault_polarity::mixed);
+    const std::vector<word_t> sparse = store_and_readback_words(
+        words, storage_config{}, readback_factory(), inject, sparse_gen,
+        &sparse_stats);
+    const std::vector<word_t> full = store_and_readback_words_reference(
+        words, storage_config{}, readback_factory(), inject, full_gen,
+        &full_stats);
+    if (sparse != full || sparse_stats.tiles != full_stats.tiles ||
+        sparse_stats.injected_faults != full_stats.injected_faults ||
+        sparse_stats.corrected_words != full_stats.corrected_words ||
+        sparse_stats.uncorrectable_words != full_stats.uncorrectable_words ||
+        sparse_gen() != full_gen()) {
+      std::cerr << "ROW-SPARSE/FULL-TILE READBACK MISMATCH at " << n
+                << " faults per tile\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,11 +119,14 @@ int main(int argc, char** argv) {
        {"width", "word width in bits (default 32)"},
        {"pcell", "cell failure prob (default 5e-2, dense on purpose)"},
        {"seed", "fault map + data seed (default 1)"},
+       {"readback-faults",
+        "faults per tile for the readback bench (default 80)"},
        {"min-time-ms", "min wall time per timed bench (default 200)"}});
   const auto rows = static_cast<std::uint32_t>(args.u64("rows", 4096));
   const auto width = static_cast<unsigned>(args.u64("width", 32));
   const double pcell = args.real("pcell", 5e-2);
   const std::uint64_t seed = args.u64("seed", 1);
+  const std::uint64_t readback_faults = args.u64("readback-faults", 80);
   const double min_ms = args.real("min-time-ms", 200.0);
 
   bench::banner("micro_memory — fault-map fast path vs per-cell oracle",
@@ -97,7 +142,12 @@ int main(int argc, char** argv) {
             << map.faulty_rows().size() << " faulty rows)\n\n";
 
   if (!verify_paths_identical(map, seed + 101)) return 1;
-  std::cout << "paths bit-identical over randomized write/read sequences: ok\n\n";
+  std::cout << "paths bit-identical over randomized write/read sequences: ok\n";
+  const std::vector<word_t> train_words =
+      random_words(seed + 29, 1279 * 11, 32);
+  if (!verify_readback_identical(train_words, seed + 31)) return 1;
+  std::cout << "row-sparse readback == full-tile oracle at 0..158 faults "
+               "per tile: ok\n\n";
 
   sram_array fast(map);
   fast.set_fault_path(fault_path::compiled);
@@ -179,12 +229,39 @@ int main(int argc, char** argv) {
         min_ms));
   }
 
+  const auto readback_inject = exact_fault_injector(readback_faults);
+  rng readback_gen(seed + 37);
+  results.push_back(bench::run_micro(
+      "readback full tiles (words)", train_words.size(),
+      [&] {
+        bench::keep(store_and_readback_words_reference(
+                        train_words, storage_config{}, readback_factory(),
+                        readback_inject, readback_gen)
+                        .back());
+      },
+      min_ms));
+  const std::size_t full_readback = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "readback faulty rows (words)", train_words.size(),
+      [&] {
+        bench::keep(store_and_readback_words(train_words, storage_config{},
+                                             readback_factory(),
+                                             readback_inject, readback_gen)
+                        .back());
+      },
+      min_ms));
+  const std::size_t sparse_readback = results.size() - 1;
+
   bench::print_micro_table(results);
 
   const double speedup_read = results[0].ns_per_item / results[2].ns_per_item;
   const double speedup_write = results[3].ns_per_item / results[4].ns_per_item;
+  const double speedup_readback = results[full_readback].ns_per_item /
+                                  results[sparse_readback].ns_per_item;
   std::cout << "\nfast-path speedup vs per-cell oracle: read "
-            << speedup_read << "x, write " << speedup_write << "x\n";
+            << speedup_read << "x, write " << speedup_write << "x\n"
+            << "row-sparse readback vs full tiles at " << readback_faults
+            << " faults per tile: " << speedup_readback << "x\n";
 
   bench::json_object payload = bench::bench_envelope("micro_memory");
   bench::json_object config;
@@ -193,7 +270,8 @@ int main(int argc, char** argv) {
       .add("pcell", pcell)
       .add("seed", seed)
       .add("min_time_ms", min_ms)
-      .add("injected_faults", map.fault_count());
+      .add("injected_faults", map.fault_count())
+      .add("readback_faults_per_tile", readback_faults);
   payload.add_raw("config", config.str());
   std::vector<std::string> entries;
   entries.reserve(results.size());
@@ -201,5 +279,6 @@ int main(int argc, char** argv) {
   payload.add_raw("results", bench::json_array(entries));
   payload.add("speedup_read_vs_oracle", speedup_read);
   payload.add("speedup_write_vs_oracle", speedup_write);
+  payload.add("speedup_readback_rows_vs_tile", speedup_readback);
   return bench::write_bench_json("micro_memory", payload);
 }

@@ -14,13 +14,17 @@
 //   3. knn_classifier::predict == knn_predict_one_reference, every query;
 //   4. the KNN app's trial evaluator (knn_delta_classifier, fed the rows
 //      that differ from the clean readback) == its full evaluate(),
-//      bit for bit.
+//      bit for bit;
+//   5. the covariance-form elasticnet::fit against the residual-form
+//      elasticnet_fit_reference on wine-like 1279 x 11 readbacks:
+//      coefficients and intercept within 1e-9, equal sweep counts.
 // Then it times each app's evaluate(), the eigensolver against Jacobi,
-// covariance and KNN predict against their references, and the KNN
-// trial evaluator against the full evaluate(). It reports
-// speedup_pca_vs_jacobi (symmetric_eigen vs jacobi_eigen on the 60 x 60
-// covariance) and speedup_knn_delta_vs_full, which the CI perf job
-// gates. Emits BENCH_micro_ml.json (see README "Bench telemetry").
+// covariance, KNN predict and the elastic-net fit against their
+// references, and the KNN trial evaluator against the full evaluate().
+// It reports speedup_pca_vs_jacobi (symmetric_eigen vs jacobi_eigen on
+// the 60 x 60 covariance), speedup_knn_delta_vs_full and
+// speedup_elasticnet_fit_vs_reference, which the CI perf job gates.
+// Emits BENCH_micro_ml.json (see README "Bench telemetry").
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -33,6 +37,7 @@
 #include "bench_util.hpp"
 #include "urmem/common/rng.hpp"
 #include "urmem/datasets/generators.hpp"
+#include "urmem/ml/elasticnet.hpp"
 #include "urmem/ml/knn.hpp"
 #include "urmem/ml/matrix.hpp"
 #include "urmem/ml/pca.hpp"
@@ -115,6 +120,50 @@ std::vector<std::size_t> changed_rows(const matrix& clean,
   return rows;
 }
 
+struct regression_data {
+  matrix train;
+  std::vector<double> targets;
+};
+
+// The Elasticnet app's shapes: wine-like features standardized, 1279
+// training rows and their quality targets.
+regression_data make_regression_data() {
+  const dataset data = make_wine_like();
+  standard_scaler scaler;
+  const matrix all = scaler.fit_transform(data.features);
+  std::vector<std::size_t> rows(1279);
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  return {take_rows(all, rows), take(data.targets, rows)};
+}
+
+const elasticnet_config kElasticnet{.alpha = 0.01, .l1_ratio = 0.5};
+
+// Covariance-form fit vs the residual-form oracle: coefficients within
+// 1e-9 of the coefficient vector's scale, intercept within 1e-9
+// relative, equal sweep counts.
+bool verify_elasticnet(const matrix& stored, const std::vector<double>& y,
+                       const std::string& label) {
+  elasticnet model(kElasticnet);
+  model.fit(stored, y);
+  const elasticnet_fit_result ref =
+      elasticnet_fit_reference(stored, y, kElasticnet);
+  double scale = 0.0;
+  for (const double w : ref.coefficients) scale = std::max(scale, std::abs(w));
+  bool ok = model.iterations() == ref.iterations &&
+            std::abs(model.intercept() - ref.intercept) <=
+                1e-9 * std::abs(ref.intercept);
+  for (std::size_t j = 0; j < ref.coefficients.size(); ++j) {
+    ok = ok && std::abs(model.coefficients()[j] - ref.coefficients[j]) <=
+                   1e-9 * scale;
+  }
+  if (!ok) {
+    std::cerr << "ELASTICNET MISMATCH " << label << ": " << model.iterations()
+              << " vs " << ref.iterations << " sweeps, intercept "
+              << model.intercept() << " vs " << ref.intercept << "\n";
+  }
+  return ok;
+}
+
 // Checks every fast kernel against its oracle on one faulty input pair.
 bool verify_against_oracles(const matrix& pca_stored, const matrix& pca_holdout,
                             const knn_data& knn, const matrix& knn_stored,
@@ -177,6 +226,7 @@ int main(int argc, char** argv) {
   const matrix knn_app_clean = storage_config{}.quantizer().roundtrip(
       knn_app->train_features());
   const auto knn_trials = knn_app->prepare_trials(knn_app_clean);
+  const regression_data wine = make_regression_data();
 
   rng gen(seed);
   std::size_t checked = 0;
@@ -201,13 +251,18 @@ int main(int argc, char** argv) {
                   << " vs " << full << "\n";
         return 1;
       }
+      if (!verify_elasticnet(faulty_readback(wine.train, shuffle, n, gen),
+                             wine.targets, label)) {
+        return 1;
+      }
       ++checked;
     }
   }
   std::cout << "kernels match the reference oracles on " << checked
             << " faulty input pairs: covariance, KNN and the KNN trial "
                "evaluator bit-identical, eigenvalues and PCA score within "
-               "1e-10\n\n";
+               "1e-10, elastic-net coefficients within 1e-9 with equal "
+               "sweeps\n\n";
 
   std::vector<bench::micro_result> results;
   for (const auto& app : apps) {
@@ -290,6 +345,26 @@ int main(int argc, char** argv) {
       min_ms));
   const std::size_t delta_trial = results.size() - 1;
 
+  const matrix wine_stored = faulty_readback(wine.train, true, faults, gen);
+  results.push_back(bench::run_micro(
+      "elasticnet fit 1279x11", 1,
+      [&] {
+        elasticnet model(kElasticnet);
+        model.fit(wine_stored, wine.targets);
+        bench::keep(std::bit_cast<std::uint64_t>(model.intercept()));
+      },
+      min_ms));
+  const std::size_t fast_fit = results.size() - 1;
+  results.push_back(bench::run_micro(
+      "elasticnet fit reference 1279x11", 1,
+      [&] {
+        bench::keep(std::bit_cast<std::uint64_t>(
+            elasticnet_fit_reference(wine_stored, wine.targets, kElasticnet)
+                .intercept));
+      },
+      min_ms));
+  const std::size_t ref_fit = results.size() - 1;
+
   bench::print_micro_table(results);
 
   const auto speedup = [&](std::size_t slow, std::size_t fast) {
@@ -299,12 +374,15 @@ int main(int argc, char** argv) {
   const double speedup_cov = speedup(ref_cov, fast_cov);
   const double speedup_knn = speedup(ref_knn, fast_knn);
   const double speedup_delta = speedup(full_trial, delta_trial);
+  const double speedup_fit = speedup(ref_fit, fast_fit);
   std::cout << "\nspeedup vs reference: eigensolver " << speedup_pca
             << "x, covariance " << speedup_cov << "x, knn predict "
             << speedup_knn << "x\n"
             << "knn trial evaluator vs full evaluate: " << speedup_delta
             << "x (" << app_changed.size() << " of "
-            << app_stored.rows() << " rows changed)\n";
+            << app_stored.rows() << " rows changed)\n"
+            << "elastic-net fit vs residual-form reference: " << speedup_fit
+            << "x\n";
 
   bench::json_object payload = bench::bench_envelope("micro_ml");
   bench::json_object config;
@@ -321,5 +399,6 @@ int main(int argc, char** argv) {
   payload.add("speedup_covariance_vs_reference", speedup_cov);
   payload.add("speedup_knn_vs_reference", speedup_knn);
   payload.add("speedup_knn_delta_vs_full", speedup_delta);
+  payload.add("speedup_elasticnet_fit_vs_reference", speedup_fit);
   return bench::write_bench_json("micro_ml", payload);
 }

@@ -1,7 +1,5 @@
 #include "urmem/memory/fault_sampler.hpp"
 
-#include <unordered_set>
-
 #include "urmem/common/contracts.hpp"
 
 namespace urmem {
@@ -38,12 +36,15 @@ fault_map sample_fault_map_exact(const array_geometry& geometry, std::uint64_t n
   fault_map map(geometry);
 
   // Robert Floyd's algorithm: n distinct values from [0, cells) in O(n).
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(n) * 2);
+  // Every pick is added to the map, so the map itself is the chosen
+  // set: "t already chosen" is "cell t already faulty".
+  const auto taken = [&](std::uint64_t cell) {
+    const auto row = static_cast<std::uint32_t>(cell / geometry.width);
+    return ((map.fault_cols(row) >> (cell % geometry.width)) & 1) != 0;
+  };
   for (std::uint64_t j = cells - n; j < cells; ++j) {
     const std::uint64_t t = gen.uniform_below(j + 1);
-    const std::uint64_t pick = chosen.contains(t) ? j : t;
-    chosen.insert(pick);
+    const std::uint64_t pick = taken(t) ? j : t;
     const auto row = static_cast<std::uint32_t>(pick / geometry.width);
     const auto col = static_cast<std::uint32_t>(pick % geometry.width);
     map.add(fault{row, col, draw_kind(gen, polarity)});

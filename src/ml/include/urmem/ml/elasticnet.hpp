@@ -9,6 +9,13 @@
 // with soft-threshold coordinate updates and an intercept handled by
 // centering. Hyper-parameter semantics match sklearn.linear_model
 // ElasticNet, so alpha = 0 reduces to OLS and l1_ratio = 1 to the Lasso.
+//
+// The updates run in covariance form: one pass over the n x p samples
+// builds the centered Gram matrix G = Xc^T Xc and c = Xc^T yc, and the
+// sweeps keep q = G w, so rho_j = (c_j - q_j)/n + z_j w_j and every
+// sweep costs O(p^2) instead of O(n p). Update order, stopping rule
+// and results match the residual-form oracle elasticnet_fit_reference
+// (src/verify) to rounding.
 #pragma once
 
 #include <cstddef>

@@ -33,23 +33,37 @@ void elasticnet::fit(const matrix& x, const std::vector<double>& y) {
 
   // Center features and targets; the intercept absorbs the means.
   const std::vector<double> x_means = column_means(x);
-  matrix xc = x;
-  center_columns(xc, x_means);
   double y_mean = 0.0;
   for (const double v : y) y_mean += v;
   y_mean /= n_d;
 
-  // Per-feature mean squared norms z_j = (1/n) sum_i x_ij^2.
-  std::vector<double> z(p, 0.0);
+  // One row pass builds the centered Gram matrix G = Xc^T Xc (upper
+  // triangle, then mirrored) and c = Xc^T yc.
+  matrix gram(p, p, 0.0);
+  std::vector<double> c(p, 0.0);
+  std::vector<double> xc(p);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto row = xc.row(i);
-    for (std::size_t j = 0; j < p; ++j) z[j] += row[j] * row[j];
+    const auto row = x.row(i);
+    for (std::size_t j = 0; j < p; ++j) xc[j] = row[j] - x_means[j];
+    const double yc = y[i] - y_mean;
+    for (std::size_t j = 0; j < p; ++j) {
+      c[j] += xc[j] * yc;
+      const auto g = gram.row(j);
+      for (std::size_t k = j; k < p; ++k) g[k] += xc[j] * xc[k];
+    }
   }
-  for (double& v : z) v /= n_d;
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t k = j + 1; k < p; ++k) gram(k, j) = gram(j, k);
+  }
 
+  // Per-feature mean squared norms z_j = (1/n) sum_i xc_ij^2.
+  std::vector<double> z(p);
+  for (std::size_t j = 0; j < p; ++j) z[j] = gram(j, j) / n_d;
+
+  // q = G w tracks Xc^T (yc - r) for the residual r = yc - Xc w, so
+  // each coordinate update reads c_j - q_j instead of a pass over r.
   coef_.assign(p, 0.0);
-  std::vector<double> residual(n);
-  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - y_mean;
+  std::vector<double> q(p, 0.0);
 
   const double l1 = config_.alpha * config_.l1_ratio;
   const double l2 = config_.alpha * (1.0 - config_.l1_ratio);
@@ -62,14 +76,13 @@ void elasticnet::fit(const matrix& x, const std::vector<double>& y) {
       if (z[j] == 0.0) continue;  // constant (centered-to-zero) feature
       // rho = (1/n) sum_i x_ij * (r_i + x_ij * w_j): the correlation of
       // feature j with the residual that excludes its own contribution.
-      double rho = 0.0;
-      for (std::size_t i = 0; i < n; ++i) rho += xc(i, j) * residual[i];
-      rho = rho / n_d + z[j] * coef_[j];
+      const double rho = (c[j] - q[j]) / n_d + z[j] * coef_[j];
 
       const double updated = soft_threshold(rho, l1) / (z[j] + l2);
       const double delta = updated - coef_[j];
       if (delta != 0.0) {
-        for (std::size_t i = 0; i < n; ++i) residual[i] -= delta * xc(i, j);
+        const auto g = gram.row(j);  // G is symmetric: row j = column j
+        for (std::size_t k = 0; k < p; ++k) q[k] += delta * g[k];
         coef_[j] = updated;
         max_delta = std::max(max_delta, std::abs(delta));
       }

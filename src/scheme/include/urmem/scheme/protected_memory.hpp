@@ -57,6 +57,15 @@ class protected_memory {
   protected_memory(std::uint32_t rows, std::unique_ptr<protection_scheme> scheme,
                    std::vector<memory_region> regions);
 
+  /// The region constructor followed by set_fault_map(faults), without
+  /// first building a fault-free map of the same size: a tile's fault
+  /// planes are the largest allocation of a Fig. 7 trial.
+  /// `faults.geometry()` must be the storage geometry (data + spare rows
+  /// x the scheme's storage bits).
+  protected_memory(std::uint32_t rows,
+                   std::unique_ptr<protection_scheme> scheme,
+                   std::vector<memory_region> regions, fault_map faults);
+
   /// Logical (addressable) rows; spares are not directly addressable.
   [[nodiscard]] std::uint32_t rows() const { return logical_rows_; }
   /// Total manufactured spares (summed over regions).
@@ -194,6 +203,13 @@ class protected_memory {
   [[nodiscard]] std::uint64_t residual_rows() const;
 
  private:
+  /// Validates the region table and lays out each region's spare pool.
+  void index_regions();
+
+  /// Runs each region's spare-row repair over the installed fault map
+  /// and configures the scheme from what repair left behind.
+  void repair_and_configure();
+
   /// Physical row serving logical `row` (identity unless remapped).
   [[nodiscard]] std::uint32_t physical_row(std::uint32_t row) const;
 

@@ -34,6 +34,27 @@ protected_memory::protected_memory(std::uint32_t rows,
       spare_rows_(total_spares(regions)),
       regions_(std::move(regions)),
       array_(array_geometry{rows + spare_rows_, scheme_->storage_bits()}) {
+  index_regions();
+}
+
+protected_memory::protected_memory(std::uint32_t rows,
+                                   std::unique_ptr<protection_scheme> scheme,
+                                   std::vector<memory_region> regions,
+                                   fault_map faults)
+    : scheme_(std::move(scheme)),
+      logical_rows_(rows),
+      spare_rows_(total_spares(regions)),
+      regions_(std::move(regions)),
+      array_(std::move(faults)) {
+  index_regions();
+  expects(array_.geometry() ==
+              array_geometry{rows + spare_rows_, scheme_->storage_bits()},
+          "fault map geometry mismatch");
+  repair_and_configure();
+}
+
+void protected_memory::index_regions() {
+  const std::uint32_t rows = logical_rows_;
   expects(scheme_ != nullptr, "protected_memory requires a scheme");
   expects(rows >= 1, "protected_memory needs at least one row");
   expects(!regions_.empty(), "protected_memory needs at least one region");
@@ -60,12 +81,17 @@ std::uint32_t protected_memory::region_spare_base(std::size_t index) const {
 
 void protected_memory::set_fault_map(fault_map faults) {
   expects(faults.geometry() == storage_geometry(), "fault map geometry mismatch");
+  array_.set_faults(std::move(faults));
+  repair_and_configure();
+}
+
+void protected_memory::repair_and_configure() {
+  const fault_map& faults = array_.faults();
   remaps_.clear();
   spare_used_.assign(spare_rows_, false);
   const unsigned width = scheme_->storage_bits();
   if (spare_rows_ == 0) {
     scheme_->configure(faults);
-    array_.set_faults(std::move(faults));
     return;
   }
   if (faults.fault_count() == 0) {
@@ -73,7 +99,6 @@ void protected_memory::set_fault_map(fault_map faults) {
     // (and its per-region map shuffling) outright — the scheme still
     // reprograms itself from the clean map, as a real BIST would report.
     scheme_->configure(fault_map(array_geometry{logical_rows_, width}));
-    array_.set_faults(std::move(faults));
     return;
   }
   // Fuse stage first, one pass per region: remap the region's faulty
@@ -133,7 +158,6 @@ void protected_memory::set_fault_map(fault_map faults) {
     spare_used_[spare - logical_rows_] = true;
   }
   scheme_->configure(residual);
-  array_.set_faults(std::move(faults));
 }
 
 void protected_memory::update_fault_map(fault_map faults) {

@@ -1,5 +1,6 @@
 #include "urmem/shuffle/shuffle_scheme.hpp"
 
+#include <bit>
 #include <vector>
 
 #include "urmem/common/contracts.hpp"
@@ -42,10 +43,14 @@ void shuffle_scheme::program(const fault_map& faults) {
   expects(faults.geometry().width >= shuffler_.width(),
           "fault map must cover the data columns");
   lut_.clear();
+  const word_t data_columns = word_mask(shuffler_.width());
+  std::vector<std::uint32_t> cols;
   for (const std::uint32_t row : faults.faulty_rows()) {
-    std::vector<std::uint32_t> cols;
-    for (const fault& f : faults.faults_in_row(row)) {
-      if (f.col < shuffler_.width()) cols.push_back(f.col);  // data columns only
+    cols.clear();
+    // Faulty data columns only, ascending.
+    for (word_t pending = faults.fault_cols(row) & data_columns; pending != 0;
+         pending &= pending - 1) {
+      cols.push_back(static_cast<std::uint32_t>(std::countr_zero(pending)));
     }
     if (cols.empty()) continue;
     lut_.set(row, choose_xfm(shuffler_, cols, policy_));

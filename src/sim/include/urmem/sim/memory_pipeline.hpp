@@ -60,7 +60,13 @@ struct pipeline_stats {
 /// Writes `words` through scheme-protected faulty tiles and returns the
 /// words read back. Each tile of `config.rows_per_tile` words gets a
 /// fresh scheme from `factory` and a fault map from `inject`, drawn on
-/// `gen` in tile order.
+/// `gen` in tile order. Only the rows a fault can reach go through the
+/// codecs: the logical rows whose physical row is faulty, plus every
+/// row repair remapped onto a spare, one write_block/read_block pair
+/// per run of adjacent rows. Every other row returns its input word,
+/// which is exact because each fault kind acts on one cell and every
+/// scheme is lossless on fault-free storage. The full-tile loop is the
+/// oracle store_and_readback_words_reference in src/verify.
 [[nodiscard]] std::vector<word_t> store_and_readback_words(
     std::span<const word_t> words, const storage_config& config,
     const scheme_factory& factory, const fault_injector& inject, rng& gen,

@@ -16,8 +16,22 @@ std::vector<word_t> store_and_readback_words(std::span<const word_t> words,
   expects(config.rows_per_tile >= 1, "tiles need at least one row");
   expects(config.regions.empty() || config.spare_rows_per_tile == 0,
           "a region table replaces spare_rows_per_tile");
-  std::vector<word_t> restored(words.size());
+  // Every fault kind acts on one cell, and every scheme is lossless on
+  // fault-free storage, so a logical row whose physical row is clean
+  // reads back exactly the word written to it. Start from the input
+  // and route only the rows a fault can reach through the codecs.
+  std::vector<word_t> restored(words.begin(), words.end());
+  // The homogeneous tile is the one-region table with the config's
+  // spare pool, as protected_memory's legacy constructor builds it.
+  const std::vector<memory_region> regions =
+      config.regions.empty()
+          ? std::vector<memory_region>{memory_region{
+                0, config.rows_per_tile - 1, config.spare_rows_per_tile}}
+          : config.regions;
+  std::uint32_t spares = 0;
+  for (const memory_region& region : regions) spares += region.spare_rows;
   pipeline_stats local;
+  std::vector<std::uint32_t> touched;
   std::size_t cursor = 0;
   while (cursor < words.size()) {
     const auto tile_words = std::min<std::size_t>(config.rows_per_tile,
@@ -26,26 +40,51 @@ std::vector<word_t> store_and_readback_words(std::span<const word_t> words,
     expects(scheme != nullptr, "scheme factory returned null");
     expects(scheme->data_bits() == config.word_bits,
             "scheme word width must match the storage config");
-    protected_memory memory =
-        config.regions.empty()
-            ? protected_memory(config.rows_per_tile, std::move(scheme),
-                               config.spare_rows_per_tile)
-            : protected_memory(config.rows_per_tile, std::move(scheme),
-                               config.regions);
-
-    fault_map faults = inject(memory.storage_geometry(), gen);
+    // The map is drawn first and handed to the tile, so no fault-free
+    // map of the same size is built and dropped on every tile.
+    fault_map faults = inject(
+        array_geometry{config.rows_per_tile + spares, scheme->storage_bits()},
+        gen);
     local.injected_faults += faults.fault_count();
-    memory.set_fault_map(std::move(faults));
+    protected_memory memory(config.rows_per_tile, std::move(scheme),
+                            regions, std::move(faults));
 
-    // Stream the whole tile through the batched block-codec +
-    // fault-map plane path: one scheme call and one row op per direction
-    // instead of per-word virtual calls.
-    memory.write_block(0, words.subspan(cursor, tile_words));
-    protected_memory::block_stats block;
-    memory.read_block(0, std::span<word_t>(restored).subspan(cursor, tile_words),
-                      &block);
-    local.corrected_words += block.corrected;
-    local.uncorrectable_words += block.uncorrectable;
+    // Logical rows that can read back differently: faulty data rows
+    // (ascending) plus every row repair moved onto a spare. Repair only
+    // remaps faulty rows today; merging the remaps keeps the readback
+    // exact for any repair policy.
+    touched.clear();
+    for (const std::uint32_t row : memory.array().faults().faulty_rows()) {
+      if (row >= tile_words) break;
+      touched.push_back(row);
+    }
+    if (!memory.row_remaps().empty()) {
+      for (const auto& remap : memory.row_remaps()) {
+        if (remap.first < tile_words) touched.push_back(remap.first);
+      }
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    }
+
+    // One block call per run of adjacent rows, so a dense map streams
+    // the whole tile through a single write_block/read_block pair.
+    const auto tile_in = words.subspan(cursor, tile_words);
+    const auto tile_out =
+        std::span<word_t>(restored).subspan(cursor, tile_words);
+    for (std::size_t i = 0; i < touched.size();) {
+      const std::uint32_t first = touched[i];
+      std::size_t count = 1;
+      while (i + count < touched.size() &&
+             touched[i + count] == first + count) {
+        ++count;
+      }
+      memory.write_block(first, tile_in.subspan(first, count));
+      protected_memory::block_stats block;
+      memory.read_block(first, tile_out.subspan(first, count), &block);
+      local.corrected_words += block.corrected;
+      local.uncorrectable_words += block.uncorrectable;
+      i += count;
+    }
     ++local.tiles;
     cursor += tile_words;
   }

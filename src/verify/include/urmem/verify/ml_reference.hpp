@@ -11,13 +11,18 @@
 //   * covariance_reference — one row per pass over the upper triangle;
 //     the bit-identity oracle for covariance();
 //   * pca_score_reference — mean, covariance, Jacobi, explained-variance
-//     score: the PCA application's metric computed the old way.
+//     score: the PCA application's metric computed the old way;
+//   * elasticnet_fit_reference — residual-form cyclic coordinate
+//     descent, one pass over the n samples per coordinate update; the
+//     accuracy oracle for the covariance-form elasticnet::fit
+//     (coefficients and intercept within 1e-9, equal sweep counts).
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
+#include "urmem/ml/elasticnet.hpp"
 #include "urmem/ml/matrix.hpp"
 #include "urmem/ml/pca.hpp"
 
@@ -46,5 +51,19 @@ namespace urmem {
 [[nodiscard]] double pca_score_reference(const matrix& train,
                                          const matrix& holdout,
                                          std::size_t n_components);
+
+/// Coefficients, intercept and sweep count of one elastic-net fit.
+struct elasticnet_fit_result {
+  std::vector<double> coefficients;
+  double intercept = 0.0;
+  std::size_t iterations = 0;
+};
+
+/// Elastic net on features `x` (n x p) and targets `y` by cyclic
+/// coordinate descent over an explicit residual vector: the same
+/// objective, update order and stopping rule as elasticnet::fit.
+[[nodiscard]] elasticnet_fit_result elasticnet_fit_reference(
+    const matrix& x, const std::vector<double>& y,
+    const elasticnet_config& config);
 
 }  // namespace urmem

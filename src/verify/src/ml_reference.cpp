@@ -154,4 +154,66 @@ double pca_score_reference(const matrix& train, const matrix& holdout,
   return explained_variance_score(components, holdout);
 }
 
+elasticnet_fit_result elasticnet_fit_reference(
+    const matrix& x, const std::vector<double>& y,
+    const elasticnet_config& config) {
+  expects(x.rows() == y.size(), "row count mismatch between x and y");
+  expects(x.rows() >= 2, "need at least two samples");
+  const std::size_t n = x.rows();
+  const std::size_t p = x.cols();
+  const double n_d = static_cast<double>(n);
+
+  const std::vector<double> x_means = column_means(x);
+  matrix xc = x;
+  center_columns(xc, x_means);
+  double y_mean = 0.0;
+  for (const double v : y) y_mean += v;
+  y_mean /= n_d;
+
+  std::vector<double> z(p, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = xc.row(i);
+    for (std::size_t j = 0; j < p; ++j) z[j] += row[j] * row[j];
+  }
+  for (double& v : z) v /= n_d;
+
+  elasticnet_fit_result fit;
+  std::vector<double>& coef = fit.coefficients;
+  coef.assign(p, 0.0);
+  std::vector<double> residual(n);
+  for (std::size_t i = 0; i < n; ++i) residual[i] = y[i] - y_mean;
+
+  const double l1 = config.alpha * config.l1_ratio;
+  const double l2 = config.alpha * (1.0 - config.l1_ratio);
+  const auto soft_threshold = [](double value, double threshold) {
+    if (value > threshold) return value - threshold;
+    if (value < -threshold) return value + threshold;
+    return 0.0;
+  };
+
+  for (std::size_t sweep = 0; sweep < config.max_iter; ++sweep) {
+    ++fit.iterations;
+    double max_delta = 0.0;
+    for (std::size_t j = 0; j < p; ++j) {
+      if (z[j] == 0.0) continue;
+      double rho = 0.0;
+      for (std::size_t i = 0; i < n; ++i) rho += xc(i, j) * residual[i];
+      rho = rho / n_d + z[j] * coef[j];
+
+      const double updated = soft_threshold(rho, l1) / (z[j] + l2);
+      const double delta = updated - coef[j];
+      if (delta != 0.0) {
+        for (std::size_t i = 0; i < n; ++i) residual[i] -= delta * xc(i, j);
+        coef[j] = updated;
+        max_delta = std::max(max_delta, std::abs(delta));
+      }
+    }
+    if (max_delta < config.tol) break;
+  }
+
+  fit.intercept = y_mean;
+  for (std::size_t j = 0; j < p; ++j) fit.intercept -= coef[j] * x_means[j];
+  return fit;
+}
+
 }  // namespace urmem

@@ -2,7 +2,11 @@
 // (Fig. 2), fault samplers, and the functional SRAM array.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "urmem/memory/cell_failure_model.hpp"
 #include "urmem/memory/fault_map.hpp"
@@ -165,6 +169,49 @@ TEST(FaultSamplerTest, FullArraySaturation) {
   const array_geometry tiny{2, 4};
   const fault_map map = sample_fault_map_exact(tiny, 8, gen);
   EXPECT_EQ(map.fault_count(), 8u);
+}
+
+TEST(FaultSamplerTest, MatchesUnorderedSetFloydSampler) {
+  // The sampler asks its own map whether a cell is taken; the draws must
+  // be those of Floyd's algorithm over an explicit chosen-set.
+  const auto reference = [](const array_geometry& geometry, std::uint64_t n,
+                            rng& gen, fault_polarity polarity) {
+    std::vector<fault> faults;
+    std::unordered_set<std::uint64_t> chosen;
+    for (std::uint64_t j = geometry.cells() - n; j < geometry.cells(); ++j) {
+      const std::uint64_t t = gen.uniform_below(j + 1);
+      const std::uint64_t pick = chosen.contains(t) ? j : t;
+      chosen.insert(pick);
+      faults.push_back({static_cast<std::uint32_t>(pick / geometry.width),
+                        static_cast<std::uint32_t>(pick % geometry.width),
+                        sample_fault_kind(gen, polarity)});
+    }
+    std::sort(faults.begin(), faults.end(), [](const fault& a, const fault& b) {
+      return std::pair(a.row, a.col) < std::pair(b.row, b.col);
+    });
+    return faults;
+  };
+  for (const array_geometry geometry :
+       {geometry_16kb_x32(), array_geometry{4096, 39}, array_geometry{3, 5}}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{80},
+          std::uint64_t{158}, geometry.cells() / 2, geometry.cells()}) {
+      for (const fault_polarity polarity :
+           {fault_polarity::flip, fault_polarity::random_stuck,
+            fault_polarity::mixed}) {
+        for (const std::uint64_t seed : {1u, 42u, 7919u}) {
+          if (n > geometry.cells()) continue;
+          rng gen(seed);
+          rng ref_gen(seed);
+          const fault_map map =
+              sample_fault_map_exact(geometry, n, gen, polarity);
+          EXPECT_EQ(map.all_faults(), reference(geometry, n, ref_gen, polarity))
+              << geometry.rows << "x" << geometry.width << " n=" << n;
+          EXPECT_EQ(gen(), ref_gen());  // same stream position after
+        }
+      }
+    }
+  }
 }
 
 TEST(FaultSamplerTest, RejectsOverfull) {

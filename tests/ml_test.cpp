@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "urmem/common/fixed_point.hpp"
@@ -310,6 +311,83 @@ TEST(ElasticnetTest, RidgeLimitMatchesClosedFormSingleFeature) {
 TEST(ElasticnetTest, PredictBeforeFitRejected) {
   elasticnet model;
   EXPECT_THROW(model.predict(matrix(2, 2)), std::invalid_argument);
+}
+
+TEST(ElasticnetTest, GramFormMatchesResidualOracleOnFaultyWineReadbacks) {
+  // The Elasticnet app's data, split and standardized the way the app
+  // does it (checked below: same training matrix, same R^2).
+  constexpr std::uint64_t seed = 7;
+  const auto app = make_elasticnet_app(seed);
+  const dataset data = make_wine_like({.seed = seed ^ 0x77696e65ULL});
+  rng split_gen(splitmix64(seed ^ 0x73706c6974ULL));
+  const split_indices split = train_test_split(data.size(), 0.2, split_gen);
+  standard_scaler scaler;
+  const matrix train_x =
+      scaler.fit_transform(take_rows(data.features, split.train));
+  const matrix test_x = scaler.transform(take_rows(data.features, split.test));
+  const std::vector<double> train_y = take(data.targets, split.train);
+  const std::vector<double> test_y = take(data.targets, split.test);
+  ASSERT_TRUE(same_bits(train_x, app->train_features()));
+
+  const elasticnet_config config{.alpha = 0.01, .l1_ratio = 0.5};
+  const auto r2_of = [&](const std::vector<double>& coef, double intercept) {
+    std::vector<double> predicted(test_x.rows(), intercept);
+    for (std::size_t i = 0; i < test_x.rows(); ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < coef.size(); ++j) {
+        acc += test_x(i, j) * coef[j];
+      }
+      predicted[i] += acc;
+    }
+    return r2_score(test_y, predicted);
+  };
+  const std::vector<std::pair<std::string, scheme_factory>> schemes = {
+      {"none", [](std::uint32_t) { return make_scheme_none(32); }},
+      {"pecc", [](std::uint32_t) { return make_scheme_pecc(); }},
+      {"nFM=1",
+       [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 1); }},
+      {"nFM=2",
+       [](std::uint32_t rows) { return make_scheme_shuffle(rows, 32, 2); }},
+  };
+  // The clean features, then faulty readbacks at 0..158 faults per
+  // tile (Nmax at the Fig. 7 operating point) for every Fig. 7 scheme.
+  std::vector<std::pair<std::string, matrix>> inputs = {{"clean", train_x}};
+  rng gen(41);
+  for (const auto& [name, factory] : schemes) {
+    for (const std::uint64_t faults : {0u, 1u, 10u, 40u, 80u, 120u, 158u}) {
+      inputs.emplace_back(
+          name + " " + std::to_string(faults) + " faults",
+          store_and_readback(train_x, storage_config{}, factory,
+                             exact_fault_injector(faults), gen));
+    }
+  }
+  for (const auto& [point, stored] : inputs) {
+    elasticnet model(config);
+    model.fit(stored, train_y);
+    const elasticnet_fit_result ref =
+        elasticnet_fit_reference(stored, train_y, config);
+    EXPECT_EQ(model.iterations(), ref.iterations) << point;
+    // Relative to the coefficient vector's scale: a coefficient the
+    // l1 term pins near zero has no meaningful relative error.
+    double scale = 0.0;
+    for (const double w : ref.coefficients) {
+      scale = std::max(scale, std::abs(w));
+    }
+    ASSERT_EQ(model.coefficients().size(), ref.coefficients.size());
+    for (std::size_t j = 0; j < ref.coefficients.size(); ++j) {
+      EXPECT_LE(std::abs(model.coefficients()[j] - ref.coefficients[j]),
+                1e-9 * scale)
+          << point << " coefficient " << j;
+    }
+    EXPECT_LE(std::abs(model.intercept() - ref.intercept),
+              1e-9 * std::abs(ref.intercept))
+        << point;
+    const double r2 = r2_of(model.coefficients(), model.intercept());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r2),
+              std::bit_cast<std::uint64_t>(app->evaluate(stored)))
+        << point;
+    EXPECT_NEAR(r2, r2_of(ref.coefficients, ref.intercept), 1e-12) << point;
+  }
 }
 
 // ------------------------------------------------------------------- pca
