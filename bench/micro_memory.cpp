@@ -4,7 +4,7 @@
 // sampling and the Eq. 6 MSE kernel Fig. 5's Monte Carlo leans on, and
 // one Fig. 7 trial's tile store/readback: the row-sparse
 // store_and_readback_words against the full-tile oracle
-// store_and_readback_words_reference at --readback-faults per tile.
+// store_and_readback_words_reference at kReadbackFaultsPerTile.
 //
 // Before timing anything the bench proves each pair bit-identical (the
 // array paths on randomized write/read sequences, the readback paths
@@ -75,6 +75,9 @@ bool verify_paths_identical(const fault_map& map, std::uint64_t seed) {
   return true;
 }
 
+// Faults per tile in the timed readback: Fig. 7's Nmax/2, as in micro_ml.
+constexpr std::uint64_t kReadbackFaultsPerTile = 80;
+
 // One Fig. 7 trial's store: the Elasticnet app's 1279 x 11 training
 // words over 16 KB nFM=1 tiles (3.4 tiles, the last one partial).
 scheme_factory readback_factory() {
@@ -119,14 +122,11 @@ int main(int argc, char** argv) {
        {"width", "word width in bits (default 32)"},
        {"pcell", "cell failure prob (default 5e-2, dense on purpose)"},
        {"seed", "fault map + data seed (default 1)"},
-       {"readback-faults",
-        "faults per tile for the readback bench (default 80)"},
        {"min-time-ms", "min wall time per timed bench (default 200)"}});
   const auto rows = static_cast<std::uint32_t>(args.u64("rows", 4096));
   const auto width = static_cast<unsigned>(args.u64("width", 32));
   const double pcell = args.real("pcell", 5e-2);
   const std::uint64_t seed = args.u64("seed", 1);
-  const std::uint64_t readback_faults = args.u64("readback-faults", 80);
   const double min_ms = args.real("min-time-ms", 200.0);
 
   bench::banner("micro_memory — fault-map fast path vs per-cell oracle",
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
         min_ms));
   }
 
-  const auto readback_inject = exact_fault_injector(readback_faults);
+  const auto readback_inject = exact_fault_injector(kReadbackFaultsPerTile);
   rng readback_gen(seed + 37);
   results.push_back(bench::run_micro(
       "readback full tiles (words)", train_words.size(),
@@ -260,8 +260,9 @@ int main(int argc, char** argv) {
                                   results[sparse_readback].ns_per_item;
   std::cout << "\nfast-path speedup vs per-cell oracle: read "
             << speedup_read << "x, write " << speedup_write << "x\n"
-            << "row-sparse readback vs full tiles at " << readback_faults
-            << " faults per tile: " << speedup_readback << "x\n";
+            << "row-sparse readback vs full tiles at "
+            << kReadbackFaultsPerTile << " faults per tile: "
+            << speedup_readback << "x\n";
 
   bench::json_object payload = bench::bench_envelope("micro_memory");
   bench::json_object config;
@@ -271,7 +272,7 @@ int main(int argc, char** argv) {
       .add("seed", seed)
       .add("min_time_ms", min_ms)
       .add("injected_faults", map.fault_count())
-      .add("readback_faults_per_tile", readback_faults);
+      .add("readback_faults_per_tile", kReadbackFaultsPerTile);
   payload.add_raw("config", config.str());
   std::vector<std::string> entries;
   entries.reserve(results.size());

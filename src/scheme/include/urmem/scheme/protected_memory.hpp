@@ -59,12 +59,22 @@ class protected_memory {
 
   /// The region constructor followed by set_fault_map(faults), without
   /// first building a fault-free map of the same size: a tile's fault
-  /// planes are the largest allocation of a Fig. 7 trial.
-  /// `faults.geometry()` must be the storage geometry (data + spare rows
-  /// x the scheme's storage bits).
+  /// planes are the largest allocation of a Fig. 7 trial. Draw `faults`
+  /// at storage_geometry(rows, *scheme, regions).
   protected_memory(std::uint32_t rows,
                    std::unique_ptr<protection_scheme> scheme,
                    std::vector<memory_region> regions, fault_map faults);
+
+  /// The region table the `spare_rows` constructor builds: one region
+  /// over every row, owning all `spare_rows` spares.
+  [[nodiscard]] static std::vector<memory_region> uniform_regions(
+      std::uint32_t rows, std::uint32_t spare_rows);
+
+  /// Storage geometry of a tile not yet built: `rows` data rows plus
+  /// every region's spares, each `scheme.storage_bits()` wide.
+  [[nodiscard]] static array_geometry storage_geometry(
+      std::uint32_t rows, const protection_scheme& scheme,
+      const std::vector<memory_region>& regions);
 
   /// Logical (addressable) rows; spares are not directly addressable.
   [[nodiscard]] std::uint32_t rows() const { return logical_rows_; }

@@ -22,9 +22,7 @@ protected_memory::protected_memory(std::uint32_t rows,
                                    std::unique_ptr<protection_scheme> scheme,
                                    std::uint32_t spare_rows)
     : protected_memory(rows, std::move(scheme),
-                       std::vector<memory_region>{
-                           memory_region{0, rows > 0 ? rows - 1 : 0,
-                                         spare_rows}}) {}
+                       uniform_regions(rows, spare_rows)) {}
 
 protected_memory::protected_memory(std::uint32_t rows,
                                    std::unique_ptr<protection_scheme> scheme,
@@ -33,7 +31,7 @@ protected_memory::protected_memory(std::uint32_t rows,
       logical_rows_(rows),
       spare_rows_(total_spares(regions)),
       regions_(std::move(regions)),
-      array_(array_geometry{rows + spare_rows_, scheme_->storage_bits()}) {
+      array_(storage_geometry(rows, *scheme_, regions_)) {
   index_regions();
 }
 
@@ -47,10 +45,20 @@ protected_memory::protected_memory(std::uint32_t rows,
       regions_(std::move(regions)),
       array_(std::move(faults)) {
   index_regions();
-  expects(array_.geometry() ==
-              array_geometry{rows + spare_rows_, scheme_->storage_bits()},
+  expects(array_.geometry() == storage_geometry(rows, *scheme_, regions_),
           "fault map geometry mismatch");
   repair_and_configure();
+}
+
+std::vector<memory_region> protected_memory::uniform_regions(
+    std::uint32_t rows, std::uint32_t spare_rows) {
+  return {memory_region{0, rows > 0 ? rows - 1 : 0, spare_rows}};
+}
+
+array_geometry protected_memory::storage_geometry(
+    std::uint32_t rows, const protection_scheme& scheme,
+    const std::vector<memory_region>& regions) {
+  return array_geometry{rows + total_spares(regions), scheme.storage_bits()};
 }
 
 void protected_memory::index_regions() {

@@ -21,15 +21,11 @@ std::vector<word_t> store_and_readback_words(std::span<const word_t> words,
   // reads back exactly the word written to it. Start from the input
   // and route only the rows a fault can reach through the codecs.
   std::vector<word_t> restored(words.begin(), words.end());
-  // The homogeneous tile is the one-region table with the config's
-  // spare pool, as protected_memory's legacy constructor builds it.
   const std::vector<memory_region> regions =
       config.regions.empty()
-          ? std::vector<memory_region>{memory_region{
-                0, config.rows_per_tile - 1, config.spare_rows_per_tile}}
+          ? protected_memory::uniform_regions(config.rows_per_tile,
+                                              config.spare_rows_per_tile)
           : config.regions;
-  std::uint32_t spares = 0;
-  for (const memory_region& region : regions) spares += region.spare_rows;
   pipeline_stats local;
   std::vector<std::uint32_t> touched;
   std::size_t cursor = 0;
@@ -40,14 +36,15 @@ std::vector<word_t> store_and_readback_words(std::span<const word_t> words,
     expects(scheme != nullptr, "scheme factory returned null");
     expects(scheme->data_bits() == config.word_bits,
             "scheme word width must match the storage config");
-    // The map is drawn first and handed to the tile, so no fault-free
-    // map of the same size is built and dropped on every tile.
+    // The map is drawn before the tile is built and handed to it, so no
+    // fault-free map of the same size is built and dropped per tile.
     fault_map faults = inject(
-        array_geometry{config.rows_per_tile + spares, scheme->storage_bits()},
+        protected_memory::storage_geometry(config.rows_per_tile, *scheme,
+                                           regions),
         gen);
     local.injected_faults += faults.fault_count();
-    protected_memory memory(config.rows_per_tile, std::move(scheme),
-                            regions, std::move(faults));
+    protected_memory memory(config.rows_per_tile, std::move(scheme), regions,
+                            std::move(faults));
 
     // Logical rows that can read back differently: faulty data rows
     // (ascending) plus every row repair moved onto a spare. Repair only

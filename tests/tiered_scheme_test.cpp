@@ -1,8 +1,9 @@
 // Tests of the heterogeneous-reliability tier machinery: tiered_scheme
 // row routing and region-boundary block paths (block == scalar ==
 // reference, bit for bit), per-region spare pools and repair in
-// protected_memory, the zero-fault repair short-circuit regression, and
-// the region-segmented fault injector.
+// protected_memory, the zero-fault repair short-circuit regression, the
+// tile built from a drawn fault map, and the region-segmented fault
+// injector.
 #include <gtest/gtest.h>
 
 #include "urmem/common/rng.hpp"
@@ -334,6 +335,47 @@ TEST(ProtectedMemory, ZeroFaultMapSkipsRepairAndKeepsAccounting) {
   // Access accounting is untouched by the (skipped) repair pass: one
   // access per word per direction, nothing more.
   EXPECT_EQ(memory.array().access_count(), 2ull * rows);
+}
+
+TEST(ProtectedMemory, FaultMapConstructorMatchesSetFaultMap) {
+  // Building a tile from its drawn map must leave the same tile as the
+  // region constructor followed by set_fault_map: layout, repair and
+  // scheme configuration, checked through remaps and readback.
+  const std::uint32_t rows = 32;
+  for (const std::vector<memory_region>& regions :
+       {protected_memory::uniform_regions(rows, 4),
+        std::vector<memory_region>{{0, 15, 0}, {16, 31, 4}},
+        protected_memory::uniform_regions(rows, 0)}) {
+    protected_memory legacy(rows, make_scheme_shuffle(rows, 32, 1), regions);
+    const array_geometry geometry = protected_memory::storage_geometry(
+        rows, legacy.scheme(), regions);
+    ASSERT_EQ(geometry, legacy.storage_geometry());
+    for (const std::uint64_t n : {0u, 3u, 40u}) {
+      rng gen(n + 11);
+      const fault_map faults = sample_fault_map_exact(geometry, n, gen);
+      legacy.set_fault_map(faults);
+      protected_memory built(rows, make_scheme_shuffle(rows, 32, 1), regions,
+                             faults);
+      EXPECT_EQ(built.row_remaps(), legacy.row_remaps()) << n;
+      EXPECT_EQ(built.residual_rows(), legacy.residual_rows()) << n;
+
+      std::vector<word_t> data(rows);
+      for (std::uint32_t row = 0; row < rows; ++row) {
+        data[row] = 0x9E37'79B9u * row;
+      }
+      legacy.write_block(0, data);
+      built.write_block(0, data);
+      std::vector<word_t> legacy_out(rows);
+      std::vector<word_t> built_out(rows);
+      legacy.read_block(0, legacy_out);
+      built.read_block(0, built_out);
+      EXPECT_EQ(built_out, legacy_out) << n;
+    }
+  }
+  const std::vector<memory_region> regions{{0, 15, 0}, {16, 31, 4}};
+  EXPECT_THROW(protected_memory(rows, make_scheme_none(), regions,
+                                fault_map(array_geometry{rows, 32})),
+               std::invalid_argument);
 }
 
 // ------------------------------------------- region fault injector
